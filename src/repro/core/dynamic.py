@@ -9,9 +9,12 @@ for **full acyclic joins** (the class all six benchmark queries belong to):
 * counting stays O(1);
 * ``access`` / ``inverted_access`` cost O(log²) per call (an
   order-statistic descent per tree level instead of a bisect);
-* ``insert(relation, tuple)`` / ``delete(relation, tuple)`` cost
-  O(depth · log) — the touched tuple's weight changes, and the bucket-total
-  change multiplies through the ancestor chain;
+* every write is a batch: ``apply_delta`` routes a whole
+  :class:`~repro.database.delta.Delta` to node rows and runs **one**
+  maintenance pass (:meth:`DynamicJoinForest.apply_ops`) — touched
+  buckets are grouped and bulk-inserted, and bucket-total changes
+  multiply up the ancestor chain once per dirty bucket. ``insert`` /
+  ``delete`` are one-op batches through the same pass, O(depth · log);
 * ``batch`` / ``sample_many`` / ``random_order`` — the same amortized
   serving surface as :class:`~repro.core.cq_index.CQIndex`, driven through
   the shared :mod:`~repro.core.access_engine` walks, so the query service
@@ -86,8 +89,9 @@ DEFAULT_COMPACT_FRACTION = 0.5
 COMPACT_MIN_ROWS = 8
 
 #: Presence-change observer: ``(shape_position, row, present)`` — fired by
-#: :meth:`DynamicJoinForest._apply` whenever a node row's multiplicity
-#: transitions between zero and positive (never during the initial load).
+#: :meth:`DynamicJoinForest.apply_ops` once per net transition of a node
+#: row's multiplicity between zero and positive, after the batch has been
+#: published (never during the initial load).
 PresenceHook = Callable[[int, tuple, bool], None]
 
 
@@ -198,9 +202,6 @@ class _DynamicBucket:
         elif now and not was:
             self.tombstones -= 1
 
-    def weight_of(self, row: tuple) -> int:
-        return self.rank[row].weight
-
     def set_row_weight(self, row: tuple, weight: int) -> None:
         """Point weight update (no-op, and no re-freeze, when equal)."""
         handle = self.rank[row]
@@ -208,14 +209,6 @@ class _DynamicBucket:
             return
         self._frozen = None
         self.tree.set_weight(handle, weight)
-
-    def add_row(self, row: tuple, weight: int, multiplicity: int) -> TreeRow:
-        self._frozen = None
-        node = self.tree.insert_row(row, weight, multiplicity)
-        self.rank[row] = node
-        if multiplicity == 0:
-            self.tombstones += 1
-        return node
 
     def bulk_insert(self, entries: Sequence[Tuple[tuple, int, int]]) -> None:
         """Bulk-add canonically sorted new ``(row, weight, multiplicity)``
@@ -246,8 +239,6 @@ class _DynamicNode:
     __slots__ = (
         "columns",
         "children",
-        "parent",
-        "position_in_parent",
         "shape_position",
         "parent_key_positions",
         "child_key_positions",
@@ -257,11 +248,6 @@ class _DynamicNode:
 
     def __init__(self, columns: Tuple[str, ...], parent: Optional["_DynamicNode"]):
         self.columns = columns
-        self.parent = parent
-        # Which child of the parent this node is; assigned by attach().
-        # Stored once so that update propagation never has to re-derive it
-        # with a linear children.index() scan.
-        self.position_in_parent: Optional[int] = None
         #: Preorder position within the forest — the *shape* coordinate
         #: shared by every structurally aligned forest, which is how the
         #: mc-UCQ machinery addresses "the same node" across members and
@@ -284,7 +270,6 @@ class _DynamicNode:
         self.dependents: List[Dict[tuple, set]] = []
 
     def attach(self, child: "_DynamicNode") -> None:
-        child.position_in_parent = len(self.children)
         self.children.append(child)
         shared = tuple(sorted(set(child.columns) & set(self.columns)))
         self.child_key_positions.append(tuple(self.columns.index(c) for c in shared))
@@ -592,22 +577,15 @@ class DynamicJoinForest(EngineServingMixin):
         bucket = node.buckets.get(node.bucket_key_of_row(row))
         return bucket is not None and bucket.is_present(row)
 
-    def set_row_presence(self, shape_position: int, row: tuple, present: bool) -> None:
-        """Set-semantics presence update for one node row (idempotent).
-
-        The mc-UCQ maintenance entry point: intersection forests receive
-        membership changes, not base facts, so their multiplicities are
-        always 0 or 1.
-        """
-        if self.presence(shape_position, row) != present:
-            self._apply(self.nodes[shape_position], row, +1 if present else -1)
-            self._publish()
-
     def set_rows_presence(
         self, changes: Sequence[Tuple[int, tuple, bool]]
     ) -> None:
-        """Batched :meth:`set_row_presence`: one maintenance pass for many
-        ``(shape_position, row, present)`` changes (idempotent each)."""
+        """Set-semantics presence update: one maintenance pass for many
+        ``(shape_position, row, present)`` changes (idempotent each).
+
+        The mc-UCQ maintenance entry point: intersection forests receive
+        membership changes, not base facts, so their multiplicities are
+        always 0 or 1."""
         ops = []
         for shape_position, row, present in changes:
             if self.presence(shape_position, row) != present:
@@ -618,13 +596,13 @@ class DynamicJoinForest(EngineServingMixin):
         """Apply a batch of node-row multiplicity deltas in **one pass**.
 
         ``ops`` is a sequence of ``(shape_position, row, delta)`` — the
-        batched generalization of :meth:`_apply`. Several ops on the same
-        node row merge into one net delta (set semantics make the final
-        state equal to sequential application; a net-zero pair on a fresh
-        row simply never materializes, not even as a tombstone).
+        forest's only write path. Several ops on the same node row merge
+        into one net delta (set semantics make the final state equal to
+        sequential application; a net-zero pair on a fresh row simply
+        never materializes, not even as a tombstone).
 
-        The pass is the batched analog of insert-then-propagate, with the
-        propagation *deduplicated over the dirty bucket paths*: nodes are
+        The pass is insert-then-propagate with the propagation
+        *deduplicated over the dirty bucket paths*: nodes are
         visited children-first (reverse preorder), each touched bucket is
         processed exactly once — new rows grouped, sorted once, and
         bulk-inserted; changed weights recomputed once per affected row
@@ -648,7 +626,9 @@ class DynamicJoinForest(EngineServingMixin):
             node = self.nodes[position]
             direct = per_node.get(position)
             # Weight-recompute demands flowing up from dirty child buckets
-            # (the reverse index walk of _propagate, deduplicated).
+            # (the reverse index lists exactly the rows keyed into each
+            # changed bucket; a row is collected once however many of its
+            # child buckets changed).
             recompute: Dict[tuple, set] = {}
             for child_position, child in enumerate(node.children):
                 child_dirty = dirty.get(child.shape_position)
@@ -706,7 +686,8 @@ class DynamicJoinForest(EngineServingMixin):
         bucket = node.buckets.get(key)
         if bucket is None:
             if not any(delta > 0 for __, delta in direct):
-                # Pure no-op deletes: like _apply, never allocate a bucket.
+                # Pure no-op deletes never allocate a bucket, so
+                # delete-misses cannot grow node.buckets.
                 return False
             bucket = node.buckets[key] = self._bucket_factory()
         self._mark_dirty(node, key)
@@ -744,46 +725,6 @@ class DynamicJoinForest(EngineServingMixin):
         self._maybe_compact(bucket)
         return changed
 
-    def _apply(self, node: _DynamicNode, row: tuple, delta: int) -> None:
-        key = node.bucket_key_of_row(row)
-        bucket = node.buckets.get(key)
-        multiplicity = bucket.multiplicity_of(row) if bucket is not None else None
-
-        if multiplicity is None:
-            if delta <= 0:
-                # Deleting a non-member: a pure no-op. Checked before any
-                # bucket is allocated, so delete-misses cannot grow
-                # node.buckets.
-                return
-            if bucket is None:
-                bucket = node.buckets[key] = self._bucket_factory()
-            old_total = bucket.total
-            self._mark_dirty(node, key)
-            bucket.add_row(row, node.own_weight(row), delta)
-            node.register_row(key, row)
-            self._notify(node, row, True)
-            if bucket.total != old_total:
-                self._propagate(node, key)
-            return
-
-        updated = multiplicity + delta
-        if updated < 0:
-            return  # deleting a fact that was never inserted
-        was_present = multiplicity > 0
-        now_present = updated > 0
-        bucket.set_multiplicity(row, updated)
-
-        old_total = bucket.total
-        self._mark_dirty(node, key)
-        bucket.set_row_weight(row, node.own_weight(row) if now_present else 0)
-        changed = bucket.total != old_total
-        if was_present != now_present:
-            self._notify(node, row, now_present)
-        if not now_present:
-            self._maybe_compact(bucket)
-        if changed:
-            self._propagate(node, key)
-
     def _notify(self, node: _DynamicNode, row: tuple, present: bool) -> None:
         if self.on_presence_change is not None:
             self.on_presence_change(node.shape_position, row, present)
@@ -796,45 +737,12 @@ class DynamicJoinForest(EngineServingMixin):
         a join partner must be able to revive it in place. Compaction
         never changes the bucket total (tombstones occupy empty weight
         ranges), so no propagation is needed; stale reverse-index entries
-        are cleaned lazily by :meth:`_propagate`.
+        are cleaned lazily by the next :meth:`apply_ops` that walks them.
         """
         size = len(bucket)
         if size >= COMPACT_MIN_ROWS and bucket.tombstones > self.compact_fraction * size:
             bucket.compact()
             self.compactions += 1
-
-    def _propagate(self, node: _DynamicNode, key: tuple) -> None:
-        """Recompute ancestor weights after ``node``'s bucket total changed.
-
-        The reverse index lists exactly the parent rows keyed into the
-        changed bucket, so the work per level is proportional to the number
-        of genuinely affected rows (× O(log) per weight update).
-        """
-        parent = node.parent
-        if parent is None:
-            return
-        affected = parent.dependents[node.position_in_parent].get(key)
-        if not affected:
-            return
-        changed_parent_keys = set()
-        dead = []
-        for parent_key, row in affected:
-            bucket = parent.buckets[parent_key]
-            multiplicity = bucket.multiplicity_of(row)
-            if multiplicity is None:
-                dead.append((parent_key, row))  # compacted away
-                continue
-            new_weight = parent.own_weight(row) if multiplicity > 0 else 0
-            if new_weight != bucket.weight_of(row):
-                before = bucket.total
-                self._mark_dirty(parent, parent_key)
-                bucket.set_row_weight(row, new_weight)
-                if bucket.total != before:
-                    changed_parent_keys.add(parent_key)
-        if dead:
-            affected.difference_update(dead)
-        for parent_key in changed_parent_keys:
-            self._propagate(parent, parent_key)
 
     # ------------------------------------------------------------------ #
     # Snapshot publication (lock-free reads)                              #
@@ -986,25 +894,13 @@ class DynamicCQIndex(DynamicJoinForest):
     # ------------------------------------------------------------------ #
 
     def insert(self, relation: str, row: tuple) -> None:
-        """Insert a base fact; all atom occurrences of the relation update.
-
-        Publishes a fresh :class:`IndexSnapshot` once the structure is
-        fully consistent again, so concurrent snapshot readers never see
-        the mutation half-applied.
-        """
-        for atom_index in self._routes.get(relation, ()):
-            normalized = self._normalize(atom_index, row)
-            if normalized is not None:
-                self._apply(self._by_atom[atom_index], normalized, +1)
-        self._publish()
+        """Insert a base fact: a one-op :meth:`apply_delta`."""
+        self.apply_delta([("insert", relation, row)])
 
     def delete(self, relation: str, row: tuple) -> None:
-        """Delete a base fact (no-op for facts that were never inserted)."""
-        for atom_index in self._routes.get(relation, ()):
-            normalized = self._normalize(atom_index, row)
-            if normalized is not None:
-                self._apply(self._by_atom[atom_index], normalized, -1)
-        self._publish()
+        """Delete a base fact (no-op for facts that were never inserted):
+        a one-op :meth:`apply_delta`."""
+        self.apply_delta([("delete", relation, row)])
 
     def apply_delta(self, delta) -> None:
         """Absorb a whole write batch in one maintenance pass.
@@ -1014,10 +910,13 @@ class DynamicCQIndex(DynamicJoinForest):
         this query does not mention are skipped. All atom-occurrence rows
         are routed first, then :meth:`apply_ops` runs the single grouped
         insert + deduplicated propagation pass — the amortization that
-        makes a 10⁴-fact batch cost far less than 10⁴ single calls.
-        Equivalent, order-for-order, to applying the same operations one
-        by one through :meth:`insert` / :meth:`delete` (the batch property
-        tests assert exactly this).
+        makes a 10⁴-fact batch cost far less than 10⁴ one-op batches —
+        and publishes a fresh :class:`IndexSnapshot` once the structure
+        is fully consistent again, so concurrent snapshot readers never
+        see the batch half-applied. The result enumerates, order for
+        order, like a fresh static build over the updated database (the
+        batch property tests assert exactly this, for one N-op batch and
+        for N one-op batches).
         """
         ops: List[Tuple[int, tuple, int]] = []
         for op, relation, row in delta:

@@ -779,40 +779,6 @@ class FrozenFlatTree:
         self.rows = tree.rows
         self.keys = tree.keys
 
-    # -- lossless slab export/import ------------------------------------ #
-
-    def to_slabs(self) -> Tuple[dict, Dict[str, object], List[tuple]]:
-        """``(meta, slabs, rows)`` — the frozen version as raw slabs.
-
-        Sort keys are *not* exported: ``row_sort_key`` is deterministic,
-        so :meth:`from_slabs` recomputes them bit-exactly from the rows.
-        """
-        meta = {"root": int(self.root)}
-        slabs = {
-            "left": self.left,
-            "right": self.right,
-            "weight": self.weight,
-            "subtotal": self.subtotal,
-            "row_of": self.row_of,
-        }
-        return meta, slabs, list(self.rows)
-
-    @classmethod
-    def from_slabs(cls, meta: dict, slabs: Dict[str, object],
-                   rows: List[tuple]) -> "FrozenFlatTree":
-        """Rebuild from :meth:`to_slabs` output, adopting the arrays
-        (read-only mmaps serve directly — readers never write slots)."""
-        frozen = cls.__new__(cls)
-        frozen.root = meta["root"]
-        frozen.left = slabs["left"]
-        frozen.right = slabs["right"]
-        frozen.weight = slabs["weight"]
-        frozen.subtotal = slabs["subtotal"]
-        frozen.row_of = slabs["row_of"]
-        frozen.rows = rows
-        frozen.keys = [row_sort_key(row) for row in rows]
-        return frozen
-
 
 class FlatOrderTree:
     """A slab-allocated treap over canonically sorted weighted rows.
@@ -1399,21 +1365,12 @@ class FlatDynamicBucket:
         elif now and not was:
             self.tombstones -= 1
 
-    def weight_of(self, row: tuple) -> int:
-        return self.tree.row_weight(self.rank[row])
-
     def set_row_weight(self, row: tuple, weight: int) -> None:
         row_id = self.rank[row]
         if self.tree.row_weight(row_id) == weight:
             return
         self._frozen = None
         self.tree.set_weight(row_id, weight)
-
-    def add_row(self, row: tuple, weight: int, multiplicity: int) -> None:
-        self._frozen = None
-        self.rank[row] = self.tree.insert_row(row, weight, multiplicity)
-        if multiplicity == 0:
-            self.tombstones += 1
 
     def bulk_insert(self, entries: Sequence[Tuple[tuple, int, int]]) -> None:
         if not entries:

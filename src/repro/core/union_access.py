@@ -31,11 +31,12 @@ for every union of free-connex CQs).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
-from repro.database.relation import Relation
+from repro.database.relation import Relation, row_sort_key
 from repro.query.ucq import UnionOfConjunctiveQueries
 
 from repro.core.cq_index import CQIndex
@@ -427,9 +428,11 @@ class MCUCQIndex:
     intersection a :class:`~repro.core.dynamic.DynamicJoinForest` over the
     same shape, maintained incrementally: a member row's presence
     transition (multiplicity 0 ↔ positive) updates exactly the
-    intersections it belongs to, so :meth:`insert` / :meth:`delete` patch
-    the whole 2^m-index family in O(2^m · depth · log) instead of
-    rebuilding it. Because dynamic buckets maintain the canonical sort
+    intersections it belongs to, so a write patches the whole 2^m-index
+    family in O(2^m · depth · log) per fact instead of rebuilding it.
+    Every write is a batch — :meth:`apply_delta` is the one maintenance
+    path, and :meth:`insert` / :meth:`delete` are one-op batches. Because
+    dynamic buckets maintain the canonical sort
     order under churn (see :mod:`repro.core.order_tree`), the
     compatibility invariant — every structure's order restricts one global
     order fixed by the forest shape — holds at all times, and a mutated
@@ -471,10 +474,10 @@ class MCUCQIndex:
         #: The service's capability marker: a dynamic union absorbs
         #: mutations in place instead of invalidating.
         self.supports_updates = dynamic
-        # While apply_delta runs, member presence transitions buffer here
-        # (forest id → (forest, member group, touched node rows)) instead
-        # of patching intersections one transition at a time.
-        self._hook_buffer = None
+        # Member presence transitions buffer here (forest id → (forest,
+        # member group, touched node rows)) until apply_delta drains them
+        # into one batched presence pass per intersection forest.
+        self._hook_buffer: Dict[int, tuple] = {}
 
         if dynamic:
             self._build_dynamic(database)
@@ -531,7 +534,11 @@ class MCUCQIndex:
             DynamicCQIndex(
                 query,
                 database,
-                on_presence_change=self._member_hook(position),
+                # A partial, not a closure: dynamic unions must pickle
+                # (checkpointed serve-state).
+                on_presence_change=functools.partial(
+                    self._on_member_presence, position
+                ),
                 store=self.store,
             )
             for position, query in enumerate(ucq.queries)
@@ -567,68 +574,37 @@ class MCUCQIndex:
     # Incremental maintenance (dynamic mode)                              #
     # ------------------------------------------------------------------ #
 
-    def _member_hook(self, member_position: int):
-        def hook(shape_position: int, row: tuple, present: bool) -> None:
-            self._on_member_presence(member_position, shape_position, row, present)
-
-        return hook
-
     def _on_member_presence(
         self, member_position: int, shape_position: int, row: tuple, present: bool
     ) -> None:
-        """Propagate one member node-row transition into its intersections.
+        """Record one member node-row transition for its intersections.
 
         A row belongs to intersection ``T`` at a node iff *every* member of
-        ``T`` holds it there. Losing it in one member removes it; gaining
-        it adds it once the last member of the group reports in (members
-        update sequentially during :meth:`insert`, so the all-present test
-        turns true exactly at the final member's hook — earlier hooks
-        no-op). ``set_row_presence`` is idempotent, which makes the
-        dispatch safe under self-joins and repeated transitions.
+        ``T`` holds it there. The hook only records *which* intersection
+        rows were touched; their final presence is decided (and applied,
+        one batched pass per forest) by :meth:`apply_delta` after every
+        member has absorbed the whole delta — ``set_rows_presence`` is
+        idempotent, so deciding from the final member state is equivalent
+        to replaying the transitions, and safe under self-joins and
+        repeated transitions.
         """
-        if self._hook_buffer is not None:
-            # Batch mode: only record *which* intersection rows were
-            # touched; their final presence is decided (and applied, one
-            # batched pass per forest) after every member has absorbed the
-            # whole delta — set_rows_presence is idempotent, so deciding
-            # from the final member state is equivalent to replaying the
-            # transitions.
-            for group, forest in self._memberships[member_position]:
-                __, __, touched = self._hook_buffer.setdefault(
-                    id(forest), (forest, group, set())
-                )
-                touched.add((shape_position, row))
-            return
-        members = self.member_indexes
         for group, forest in self._memberships[member_position]:
-            if present:
-                if all(members[i].presence(shape_position, row) for i in group):
-                    forest.set_row_presence(shape_position, row, True)
-            else:
-                forest.set_row_presence(shape_position, row, False)
+            __, __, touched = self._hook_buffer.setdefault(
+                id(forest), (forest, group, set())
+            )
+            touched.add((shape_position, row))
 
     def insert(self, relation: str, row: tuple) -> None:
-        """Insert a base fact into every member (and, via presence hooks,
-        every affected intersection) in place. Dynamic mode only."""
-        self._mutate("insert", relation, row)
+        """Insert a base fact into every member and every affected
+        intersection in place: a one-op :meth:`apply_delta`. Dynamic mode
+        only."""
+        self.apply_delta([("insert", relation, row)])
 
     def delete(self, relation: str, row: tuple) -> None:
-        """Delete a base fact from every member (and, via presence hooks,
-        every affected intersection) in place. Dynamic mode only."""
-        self._mutate("delete", relation, row)
-
-    def _mutate(self, operation: str, relation: str, row: tuple) -> None:
-        if not self.dynamic:
-            raise TypeError(
-                "this MCUCQIndex is static; build with dynamic=True for "
-                "in-place updates (static entries invalidate-and-rebuild)"
-            )
-        for member in self.member_indexes:
-            getattr(member, operation)(relation, row)
-        # Counts changed: the union's digit bases must be recomputed before
-        # the next access.
-        self._union.refresh()
-        self._publish()
+        """Delete a base fact from every member and every affected
+        intersection in place: a one-op :meth:`apply_delta`. Dynamic mode
+        only."""
+        self.apply_delta([("delete", relation, row)])
 
     def apply_delta(self, delta) -> None:
         """Absorb a whole write batch across the 2^m index family with
@@ -637,27 +613,20 @@ class MCUCQIndex:
         Every member absorbs the batch through its own
         :meth:`~repro.core.dynamic.DynamicCQIndex.apply_delta` (grouped
         buckets, one deduplicated propagation pass each); presence
-        transitions are buffered instead of patching intersections one
-        transition at a time, then each touched intersection forest takes
-        one batched presence pass decided from the members' final state.
-        The per-fact path refreshes the union's digit bases after every
-        fact — here the whole batch pays that once. Dynamic mode only.
+        transitions are buffered, then each touched intersection forest
+        takes one batched presence pass decided from the members' final
+        state, and the union's digit bases are recomputed once for the
+        whole batch. Dynamic mode only.
         """
         if not self.dynamic:
             raise TypeError(
                 "this MCUCQIndex is static; build with dynamic=True for "
                 "in-place updates (static entries invalidate-and-rebuild)"
             )
-        from repro.database.relation import row_sort_key
-
-        self._hook_buffer = {}
-        try:
-            for member in self.member_indexes:
-                member.apply_delta(delta)
-            buffered = self._hook_buffer
-        finally:
-            self._hook_buffer = None
         members = self.member_indexes
+        for member in members:
+            member.apply_delta(delta)
+        buffered, self._hook_buffer = self._hook_buffer, {}
         for forest, group, touched in buffered.values():
             forest.set_rows_presence([
                 (

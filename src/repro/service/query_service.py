@@ -36,9 +36,10 @@ walks this database's cache entries:
   to the new version untouched — the mutation cannot change its answers;
 * an update-capable entry (a :class:`~repro.core.dynamic.DynamicCQIndex`,
   or an :class:`~repro.core.union_access.MCUCQIndex` built with
-  ``dynamic=True``) gets the single-tuple delta applied **in place**
-  (O(depth · log), times the 2^m index family for a union) and is re-keyed
-  to the new version — the hot write path;
+  ``dynamic=True``) absorbs the effective delta **in place** through its
+  ``apply_delta`` — the one maintenance pass, whatever the batch size
+  (O(depth · log) per fact, times the 2^m index family for a union) —
+  and is re-keyed to the new version — the hot write path;
 * any other entry over the mutated relation is dropped and will be rebuilt
   in O(|D|) on its next use — the cold path.
 
@@ -203,8 +204,8 @@ class ServiceStats(NamedTuple):
     promotions: int
     dynamic_builds: int
     static_builds: int
-    #: Single-fact mutations absorbed by an update-capable entry without
-    #: a rebuild.
+    #: One-fact deltas absorbed by an update-capable entry without a
+    #: rebuild.
     in_place_updates: int
     #: Entries carried across a mutation untouched because their query
     #: does not reference the mutated relation.
@@ -214,12 +215,12 @@ class ServiceStats(NamedTuple):
     #: Bucket compactions performed by live dynamic entries (bounded
     #: tombstone growth under delete-heavy traffic).
     compactions: int
-    #: Whole deltas absorbed by an update-capable entry in one batched
+    #: Multi-fact deltas absorbed by an update-capable entry in one
     #: maintenance pass (one per entry per ``apply`` call).
     batched_updates: int = 0
     #: Total facts those batched deltas carried (``batched_update_ops /
     #: batched_updates`` is the mean batch size a cost-based promotion
-    #: tuner would weigh against the per-fact path).
+    #: tuner would weigh against one-fact writes).
     batched_update_ops: int = 0
     #: Reads served wait-free — from a published snapshot of a dynamic
     #: entry, or from an immutable static index. The healthy steady state:
@@ -344,8 +345,6 @@ class QueryService:
         ``"tuple"`` or ``"flat"`` (the columnar backend, see
         :mod:`repro.core.flat_store`). ``None`` resolves via the
         ``REPRO_STORE`` environment variable, defaulting to ``"tuple"``.
-        :meth:`set_store_override` pins a different backend for
-        individual queries.
     degraded_probe_interval:
         Seconds between write probes while the service is degraded (see
         :class:`ServiceDegradedError`). While degraded, :meth:`apply` /
@@ -383,9 +382,6 @@ class QueryService:
         self._snapshot_reads = 0
         self._locked_reads = 0
         self._store = flat_store.resolve_store(store)
-        # Canonical query key → backend name: per-query overrides of the
-        # service default (set_store_override).
-        self._store_overrides: Dict[tuple, str] = {}
         # Backend name → build/read counters: the per-backend split of
         # static_builds / dynamic_builds / snapshot_reads.
         self._backend_counters = {
@@ -397,8 +393,8 @@ class QueryService:
         # version's published snapshot instead of rebuilding.
         self._absorbing = False
         # Canonical query key → {"single_fact", "batched", "batched_ops"}:
-        # how each entry's in-place maintenance split between the per-fact
-        # and the batched path (see update_profile()).
+        # how each entry's in-place maintenance split between one-fact
+        # and larger batches (see update_profile()).
         self._entry_updates: Dict[tuple, Dict[str, int]] = {}
         self._wal_replayed_ops = 0
         self._checkpoint_skipped = 0
@@ -448,22 +444,6 @@ class QueryService:
         if isinstance(query, str):
             return parse_ucq(query) if ";" in query else parse_cq(query)
         return query
-
-    def set_store_override(self, query: Query, store: Optional[str]) -> None:
-        """Pin a bucket backend for one query (``None`` removes the pin).
-
-        Overrides the service default for every *future* build of
-        ``query`` (keyed canonically, so string and object forms of the
-        same query share the pin). An already-cached entry is not
-        rebuilt — drop it with a mutation or let the cache evict it, and
-        the next build picks the pinned backend. ``store`` is validated
-        eagerly (:func:`repro.core.flat_store.resolve_store`).
-        """
-        query_key = canonical_query_key(self.resolve(query))
-        if store is None:
-            self._store_overrides.pop(query_key, None)
-        else:
-            self._store_overrides[query_key] = flat_store.resolve_store(store)
 
     def index(self, query: Query):
         """The (cached) live random-access index for ``query``.
@@ -588,7 +568,7 @@ class QueryService:
 
     def _build(self, query, query_key):
         dynamic = self._serve_dynamically(query, query_key)
-        store = self._store_overrides.get(query_key, self._store)
+        store = self._store
         if isinstance(query, UnionOfConjunctiveQueries):
             built = MCUCQIndex(query, self._database, dynamic=dynamic, store=store)
         elif dynamic:
@@ -930,8 +910,8 @@ class QueryService:
           have changed answers — the entry (static or dynamic) is re-keyed
           to the new version untouched;
         * an update-capable entry (``supports_updates``) absorbs the batch
-          — one ``apply_delta`` (or the per-fact method for a one-fact
-          batch) under one lock acquisition — and is re-keyed once;
+          — one ``apply_delta`` under one lock acquisition — and is
+          re-keyed once;
         * any other entry over a touched relation is dropped, and its
           query key's churn counter bumped — the promotion pressure that
           eventually flips a hot query to the dynamic path.
@@ -944,7 +924,7 @@ class QueryService:
         database = self._database
         new_version = database.version
         touched = effective.relations()
-        single = effective.ops()[0] if len(effective) == 1 else None
+        single = len(effective) == 1
         ours = [
             key
             for key in self._cache.keys()
@@ -966,17 +946,13 @@ class QueryService:
             entry = self._cache.peek(key)
             if getattr(entry, "supports_updates", False):
                 with self._cache.lock_for(key):
-                    if single is not None:
-                        operation, relation, row = single
-                        getattr(entry, operation)(relation, row)
-                    else:
-                        entry.apply_delta(effective)
+                    entry.apply_delta(effective)
                     self._cache.rekey(key, (database, new_version, query_key))
                 profile = self._entry_updates.setdefault(
                     query_key,
                     {"single_fact": 0, "batched": 0, "batched_ops": 0},
                 )
-                if single is not None:
+                if single:
                     self._in_place_updates += 1
                     profile["single_fact"] += 1
                 else:
@@ -1077,40 +1053,21 @@ class QueryService:
         ``kwargs`` pass through to the constructor (``dynamic=``,
         ``promote_after=``, …).
         """
-        from repro.storage.store import DurableStore, RecoveryReport
+        from repro.storage.store import DurableStore
 
         store = DurableStore(directory)
         database, ckpt, wal = store.load_base()
         service = cls(database, **kwargs)
-        seeded = 0
         for query_key, entry in ckpt.serve_state:
             service._cache.get_or_build(
                 (database, database.version, query_key),
                 lambda entry=entry: entry,
             )
-            seeded += 1
-        batches = 0
-        ops = 0
-        for record in wal.records(after=ckpt.version):
-            service.apply(record.ops)
-            batches += 1
-            ops += len(record.ops)
-            if database.version != record.version:
-                # Out-of-band bumps (schema ops) are not logged; the
-                # recorded version is what readers observed and wins.
-                database.version = record.version
-        database.bind_log(wal)
-        service._storage = store
-        service._wal_replayed_ops = ops
-        store._last_report = RecoveryReport(
-            instance_id=ckpt.instance_id,
-            checkpoint_version=ckpt.version,
-            replayed_batches=batches,
-            replayed_ops=ops,
-            discarded_wal_records=wal.discarded_records,
-            final_version=database.version,
-            serve_entries_seeded=seeded,
+        report = store.replay_tail(
+            database, ckpt, wal, service.apply, len(ckpt.serve_state)
         )
+        service._storage = store
+        service._wal_replayed_ops = report.replayed_ops
         return service
 
     def update_profile(self) -> Dict[tuple, Dict[str, int]]:

@@ -38,7 +38,6 @@ import pickle
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
-from repro.core import flat_store
 from repro.storage.values import ValueEncodingError, decode_cell, encode_cell
 
 try:
@@ -265,61 +264,10 @@ def load_serve_entry(directory: pathlib.Path) -> Tuple[tuple, object]:
     return tuple(query_key), entry
 
 
-# ---------------------------------------------------------------------- #
-# Frozen-tree blobs (the treap slabs, same format rules)                  #
-# ---------------------------------------------------------------------- #
-
-
-def write_frozen_tree(
-    directory: pathlib.Path,
-    frozen,
-    write_file: Callable[[pathlib.Path, bytes], None],
-) -> Dict[str, bytes]:
-    """Serialize one :class:`~repro.core.flat_store.FrozenFlatTree` into
-    ``directory`` (treap ``left``/``right``/``weight``/``subtotal``/
-    ``row_of`` slabs as npy, rows through the canonical codec)."""
-    meta, slabs, rows = frozen.to_slabs()
-    payloads: Dict[str, bytes] = {}
-    for slab_name, array in slabs.items():
-        payloads[f"tree.{slab_name}.npy"] = _npy_bytes(array)
-    payloads["tree.rows.json"] = json.dumps(
-        {"rows": [_encode_cells(row) for row in rows]}, ensure_ascii=False
-    ).encode("utf-8")
-    payloads["tree.meta.json"] = json.dumps(
-        {"format": _FORMAT, "root": meta["root"]}
-    ).encode("utf-8")
-    directory.mkdir(parents=True, exist_ok=True)
-    for file_name, payload in payloads.items():
-        write_file(directory / file_name, payload)
-    return payloads
-
-
-def load_frozen_tree(directory: pathlib.Path):
-    """Reconstruct a :class:`~repro.core.flat_store.FrozenFlatTree` from
-    :func:`write_frozen_tree` output, adopting the mmapped slabs."""
-    meta = json.loads((directory / "tree.meta.json").read_text())
-    sidecar = json.loads(
-        (directory / "tree.rows.json").read_text(encoding="utf-8")
-    )
-    slabs = {
-        slab_name: _np.load(
-            directory / f"tree.{slab_name}.npy", mmap_mode="r"
-        )
-        for slab_name in ("left", "right", "weight", "subtotal", "row_of")
-    }
-    return flat_store.FrozenFlatTree.from_slabs(
-        {"root": meta["root"]},
-        slabs,
-        [tuple(_decode_cells(row)) for row in sidecar["rows"]],
-    )
-
-
 __all__ = [
     "BLOB_DIR",
     "ValueEncodingError",
     "can_blob",
-    "load_frozen_tree",
     "load_serve_entry",
-    "write_frozen_tree",
     "write_serve_entry",
 ]

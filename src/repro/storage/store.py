@@ -270,6 +270,37 @@ class DurableStore:
         self.last_manifest = ckpt.manifest
         return database, ckpt, wal
 
+    def replay_tail(self, database, ckpt, wal, apply, serve_entries_seeded=0):
+        """Replay the WAL records past ``ckpt`` through ``apply`` (one
+        call per durable batch), bind the log for continued durable
+        writes, and record the :class:`RecoveryReport` (also returned).
+
+        The one replay loop: plain recovery passes ``database.apply``,
+        service-level recovery its own ``apply`` so seeded serve-state
+        absorbs the tail by the live write path's rules.
+        """
+        batches = 0
+        ops = 0
+        for record in wal.records(after=ckpt.version):
+            apply(record.ops)
+            batches += 1
+            ops += len(record.ops)
+            # The recorded version is authoritative (it is what readers
+            # observed); resync in case out-of-band bumps (schema ops are
+            # not logged) left gaps.
+            database.version = record.version
+        database.bind_log(wal)
+        self._last_report = RecoveryReport(
+            instance_id=ckpt.instance_id,
+            checkpoint_version=ckpt.version,
+            replayed_batches=batches,
+            replayed_ops=ops,
+            discarded_wal_records=wal.discarded_records,
+            final_version=database.version,
+            serve_entries_seeded=serve_entries_seeded,
+        )
+        return self._last_report
+
     def recover(self):
         """Rebuild the database: checkpoint + replay-to-version.
 
@@ -277,27 +308,7 @@ class DurableStore:
         recovered database for continued durable writes.
         """
         database, ckpt, wal = self.load_base()
-        batches = 0
-        ops = 0
-        for record in wal.records(after=ckpt.version):
-            database.apply(record.ops)
-            batches += 1
-            ops += len(record.ops)
-            # The recorded version is authoritative (it is what readers
-            # observed); resync in case out-of-band bumps left gaps.
-            database.version = record.version
-        database.bind_log(wal)
-        report = RecoveryReport(
-            instance_id=ckpt.instance_id,
-            checkpoint_version=ckpt.version,
-            replayed_batches=batches,
-            replayed_ops=ops,
-            discarded_wal_records=wal.discarded_records,
-            final_version=database.version,
-            serve_entries_seeded=0,
-        )
-        self._last_report = report
-        return database, report
+        return database, self.replay_tail(database, ckpt, wal, database.apply)
 
     @property
     def last_report(self) -> Optional[RecoveryReport]:

@@ -1,15 +1,18 @@
-"""Property-based testing of the batched write path: ``apply_delta`` must
-leave every index *identical* to applying the same operations one by one —
-count, full enumeration order (order-level, not just set-level), inverted
-access, and for a dynamic union every member and intersection forest —
+"""Property-based testing of the write path: one N-op ``apply_delta`` and
+N one-op batches (``insert`` / ``delete``) run the same maintenance pass,
+so both arms are checked against an independent oracle — a fresh static
+build over the updated database: count, full enumeration order
+(order-level, not just set-level), the ``position_of(get(i)) == i``
+bijection, and for a dynamic union every member and intersection forest —
 including cancelling insert/delete pairs and no-ops, which the Delta
-normalization collapses and the one-by-one path actually executes."""
+normalization collapses and the one-by-one arm actually executes."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro import (
+    CQIndex,
     Database,
     Delta,
     DynamicCQIndex,
@@ -51,26 +54,35 @@ def as_ops(operations):
     ]
 
 
-def assert_same_forest(batched, sequential):
-    """Order-level agreement plus the inverted-access bijection."""
-    assert batched.count == sequential.count
-    answers = list(batched)
-    assert answers == list(sequential)
+def assert_matches_fresh_build(maintained, fresh):
+    """Order-level agreement with the oracle plus the inverted-access
+    bijection."""
+    assert maintained.count == fresh.count
+    answers = list(maintained)
+    assert answers == list(fresh)
     for position, answer in enumerate(answers):
-        assert batched.inverted_access(answer) == position
-        assert sequential.inverted_access(answer) == position
+        assert maintained.inverted_access(answer) == position
 
 
-@given(st.lists(operation, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_cq_apply_delta_matches_one_by_one(operations):
-    ops = as_ops(operations)
-    db_seq, db_bat = fresh_db(), fresh_db()
-    sequential = DynamicCQIndex(CQ, db_seq)
-    batched = DynamicCQIndex(CQ, db_bat)
+def assert_union_matches_fresh_build(maintained, fresh):
+    # The union surface: count and the full Durand–Strozecki order.
+    assert maintained.count == fresh.count
+    assert [maintained.access(i) for i in range(maintained.count)] == \
+        [fresh.access(i) for i in range(fresh.count)]
+    # Every member index and every intersection forest, order-level.
+    for member, fresh_member in zip(
+        maintained.member_indexes, fresh.member_indexes
+    ):
+        assert_matches_fresh_build(member, fresh_member)
+    assert set(maintained.intersection_indexes) == set(fresh.intersection_indexes)
+    for key, forest in maintained.intersection_indexes.items():
+        assert_matches_fresh_build(forest, fresh.intersection_indexes[key])
 
-    # One by one, database-gated exactly like the service's per-fact path
-    # (the index contract: inserts are new facts, deletes may be no-ops).
+
+def write_both_arms(ops, db_seq, sequential, db_bat, batched):
+    # One by one, database-gated exactly like the service's one-fact
+    # writes (the index contract: inserts are new facts, deletes may be
+    # no-ops).
     for op, relation, row in ops:
         if getattr(db_seq, op)(relation, row):
             getattr(sequential, op)(relation, row)
@@ -78,45 +90,42 @@ def test_cq_apply_delta_matches_one_by_one(operations):
     # effective sub-delta, which the index absorbs in one pass.
     result = db_bat.apply(Delta(ops, database=db_bat))
     batched.apply_delta(result.effective)
+    for name in RELATIONS:
+        assert db_seq.relation(name).row_set() == db_bat.relation(name).row_set()
 
-    assert db_seq.relation("R").row_set() == db_bat.relation("R").row_set()
-    assert_same_forest(batched, sequential)
+
+@given(st.lists(operation, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_cq_batch_and_one_by_one_match_fresh_build(operations):
+    db_seq, db_bat = fresh_db(), fresh_db()
+    sequential = DynamicCQIndex(CQ, db_seq)
+    batched = DynamicCQIndex(CQ, db_bat)
+    write_both_arms(as_ops(operations), db_seq, sequential, db_bat, batched)
+
+    fresh = CQIndex(CQ, db_bat)
+    assert_matches_fresh_build(batched, fresh)
+    assert_matches_fresh_build(sequential, fresh)
 
 
 @given(st.lists(operation, max_size=25))
 @settings(max_examples=40, deadline=None)
-def test_union_apply_delta_matches_one_by_one(operations):
-    ops = as_ops(operations)
+def test_union_batch_and_one_by_one_match_fresh_build(operations):
     db_seq, db_bat = fresh_db(), fresh_db()
     sequential = MCUCQIndex(UCQ, db_seq, dynamic=True)
     batched = MCUCQIndex(UCQ, db_bat, dynamic=True)
+    write_both_arms(as_ops(operations), db_seq, sequential, db_bat, batched)
 
-    for op, relation, row in ops:
-        if getattr(db_seq, op)(relation, row):
-            getattr(sequential, op)(relation, row)
-    result = db_bat.apply(Delta(ops, database=db_bat))
-    batched.apply_delta(result.effective)
-
-    # The union surface: count and the full Durand–Strozecki order.
-    assert batched.count == sequential.count
-    assert [batched.access(i) for i in range(batched.count)] == \
-        [sequential.access(i) for i in range(sequential.count)]
-    # Every member index and every intersection forest, order-level.
-    for member_b, member_s in zip(
-        batched.member_indexes, sequential.member_indexes
-    ):
-        assert_same_forest(member_b, member_s)
-    assert set(batched.intersection_indexes) == set(sequential.intersection_indexes)
-    for key, forest in batched.intersection_indexes.items():
-        assert_same_forest(forest, sequential.intersection_indexes[key])
+    fresh = MCUCQIndex(UCQ, db_bat)
+    assert_union_matches_fresh_build(batched, fresh)
+    assert_union_matches_fresh_build(sequential, fresh)
 
 
 @given(st.lists(operation, min_size=1, max_size=25), st.integers(0, 2**30))
 @settings(max_examples=40, deadline=None)
 def test_service_transaction_matches_per_fact_service(operations, seed):
     """Service-level equivalence: a transaction over a hot dynamic entry
-    serves exactly like the same ops issued one service call at a time —
-    pages, samples, and positions included."""
+    and the same ops issued one service call at a time both serve exactly
+    like a fresh static build — pages, samples, and positions included."""
     ops = as_ops(operations)
     one_by_one = QueryService(fresh_db(), dynamic=True)
     transactional = QueryService(fresh_db(), dynamic=True)
@@ -129,9 +138,11 @@ def test_service_transaction_matches_per_fact_service(operations, seed):
         for op, relation, row in ops:
             getattr(txn, op)(relation, row)
 
-    n = one_by_one.count(CQ)
-    assert transactional.count(CQ) == n
-    assert transactional.batch(CQ, range(n)) == one_by_one.batch(CQ, range(n))
+    fresh = list(CQIndex(CQ, transactional.database))
+    n = len(fresh)
+    assert one_by_one.count(CQ) == transactional.count(CQ) == n
+    assert one_by_one.batch(CQ, range(n)) == fresh
+    assert transactional.batch(CQ, range(n)) == fresh
     if n:
         rng_a, rng_b = random.Random(seed), random.Random(seed)
         k = min(5, n)
@@ -142,7 +153,7 @@ def test_service_transaction_matches_per_fact_service(operations, seed):
     if txn.result.changed and relevant:
         stats = transactional.stats()
         if len(txn.result.effective) == 1:
-            # A one-fact effective delta rides the per-fact hot path.
+            # A one-fact effective delta counts as an in-place update.
             assert stats.in_place_updates == 1
             assert stats.batched_updates == 0
         else:

@@ -2,8 +2,7 @@
 
 Strategy: random databases whose non-join columns range over the whole
 canonical-codec scalar domain (None, bool, int, float, str), indexed by
-the flat backend, pushed through ``write_serve_entry``/``load_serve_entry``
-(and ``write_frozen_tree``/``load_frozen_tree`` for the treap slabs).
+the flat backend, pushed through ``write_serve_entry``/``load_serve_entry``.
 Invariant: the loaded entry is **bit-exact** — every answer cell equal
 *and of the same type* (True is not 1, 1 is not 1.0), every rank and
 inverted lookup unchanged — because recovery that silently perturbs a
@@ -21,7 +20,6 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings, strategies as st
 
 from repro import CQIndex, Database, Relation, parse_cq
-from repro.core import flat_store
 from repro.storage import serve_blob
 
 QUERY = parse_cq("Q(a, b, c) :- R(a, b), S(b, c)")
@@ -127,46 +125,6 @@ def test_flat_slabs_and_tables_round_trip_losslessly(database):
             assert len(table) == len(mirror)
             for left, right in zip(table, mirror):
                 assert identical(left, right)
-
-
-#: Unique rows (the index cell) with codec-domain payloads and weights.
-tree_rows = st.lists(
-    st.tuples(scalars, st.integers(1, 50)), max_size=12
-).map(lambda drawn: [((i, value), weight)
-                     for i, (value, weight) in enumerate(drawn)])
-
-
-@given(tree_rows)
-@settings(max_examples=60, deadline=None)
-def test_frozen_tree_round_trips_through_blob_format(rows):
-    tree = flat_store.FlatOrderTree()
-    for row, weight in rows:
-        tree.insert_row(row, weight, 1)
-    frozen = tree.snapshot()
-
-    workdir = pathlib.Path(tempfile.mkdtemp(prefix="frozen_tree_prop_"))
-    try:
-        serve_blob.write_frozen_tree(
-            workdir, frozen,
-            lambda path, payload: path.write_bytes(payload),
-        )
-        loaded = serve_blob.load_frozen_tree(workdir)
-        # The reader API lives on the snapshot store wrapping the tree.
-        mirror = flat_store.FlatSnapshotStore(loaded)
-        original = flat_store.FlatSnapshotStore(frozen)
-        assert list(mirror.iter_rows()) == list(original.iter_rows())
-        assert mirror.total == original.total
-        for offset in range(original.total):
-            assert mirror.locate_run(offset) == original.locate_run(offset)
-        for row, __ in rows:
-            assert mirror.rank_start(row) == original.rank_start(row)
-        assert len(loaded.rows) == len(frozen.rows)
-        for left, right in zip(loaded.rows, frozen.rows):
-            assert len(left) == len(right)
-            for a, b in zip(left, right):
-                assert identical(a, b)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def test_int64_overflow_falls_back_to_tuple_and_is_refused():

@@ -1,9 +1,10 @@
 """Shape-regression tests: the paper's qualitative findings, asserted on
 counting statistics rather than wall-clock (so they are robust in CI).
 
-Each test pins one row of EXPERIMENTS.md to a mechanism the code must
-exhibit — if a refactor breaks the *reason* a figure looks the way it
-does, these fail even when absolute timings drift.
+Each test pins one of the paper's findings (timed end to end by the
+``paper_renum`` workload, see benchmarks/layers/README.md) to a mechanism
+the code must exhibit — if a refactor breaks the *reason* a figure looks
+the way it does, these fail even when absolute timings drift.
 """
 
 import math

@@ -14,12 +14,14 @@ import pytest
 from repro import (
     Database,
     Delta,
+    MCUCQIndex,
     QueryService,
     Relation,
     ReproError,
     StorageError,
     WalError,
     WriteAheadLog,
+    parse_ucq,
 )
 from repro.database.relation import RelationError
 from repro.storage import (
@@ -457,6 +459,38 @@ class TestServiceDurability:
         assert recovered.count(QUERY) == service.count(QUERY)
         recovered.insert("S", (20, "v"))
         assert recovered.count(QUERY) == service.count(QUERY) + 1
+
+    def test_dynamic_union_is_checkpointed_and_absorbs_the_tail(
+        self, tmp_path, store
+    ):
+        # Regression: the member presence hook was a local closure, so a
+        # dynamic mc-UCQ never pickled — it was counted under
+        # skipped_entries and rebuilt (all 2^m indexes) on recovery.
+        union = "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- R(a, b), T(b, c)"
+        database = make_database()
+        database.add(Relation("T", ("b", "c"), [(10, "y"), (20, "q")]))
+        service = QueryService(
+            database, storage=tmp_path, dynamic=True, store=store
+        )
+        service.count(union)
+        service.checkpoint()
+        assert service.storage.last_manifest["skipped_entries"] == 0
+        service.insert("T", (10, "x"))
+        service.apply(
+            Delta(database=database).delete("S", (10, "y")).insert("R", (3, 20))
+        )
+        service.delete("T", (20, "q"))
+
+        recovered = QueryService.recover(tmp_path, dynamic=True, store=store)
+        report = recovered.storage.last_report
+        assert report.serve_entries_seeded == 1
+        assert report.replayed_batches == 3
+        # The seeded union absorbed the replayed tail in place (no build).
+        assert recovered.stats().dynamic_builds == 0
+        fresh = list(MCUCQIndex(parse_ucq(union), recovered.database))
+        assert recovered.batch(union, range(len(fresh))) == fresh
+        assert recovered.count(union) == len(fresh)
+        assert recovered.stats().dynamic_builds == 0
 
     def test_serve_state_survives_pickle_of_index(self, tmp_path):
         # The checkpointed index objects must actually pickle (they carry

@@ -85,6 +85,28 @@ class TestDynamicUnionIndex:
         db.relation("S").rows.append((10, 2))
         _assert_matches_fresh_static(dynamic, db)
 
+    def test_single_fact_write_under_a_self_join_member(self):
+        # One R fact feeds both atom occurrences of member 0 *and* member
+        # 1's R atom: the always-buffered hook sees several transitions
+        # for one op and must settle every T_{ℓ,I} from the final state.
+        db = Database([
+            Relation("R", ("x", "y"), [(1, 2), (2, 3), (3, 1)]),
+            Relation("S", ("y", "z"), [(2, 3), (2, 2), (3, 1)]),
+        ])
+        dynamic = MCUCQIndex(
+            parse_ucq(
+                "Q(a, b, c) :- R(a, b), R(b, c) ; Q(a, b, c) :- R(a, b), S(b, c)"
+            ),
+            db,
+            dynamic=True,
+        )
+        _assert_matches_fresh_static(dynamic, db)
+        for op, row in (("insert", (2, 2)), ("delete", (2, 3)),
+                        ("insert", (2, 3)), ("delete", (2, 2))):
+            assert getattr(db, op)("R", row)
+            getattr(dynamic, op)("R", row)
+            _assert_matches_fresh_static(dynamic, db)
+
     def test_static_union_rejects_in_place_mutation(self):
         static = MCUCQIndex(parse_ucq(UNION), fresh_db())
         assert not static.supports_updates
