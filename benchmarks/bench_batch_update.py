@@ -7,11 +7,11 @@ burst:
 
 * the **single-fact loop** calls ``service.insert`` / ``service.delete``
   once per fact — each call pays a copy-on-write relation rebuild, a full
-  cache walk with one lock/re-key per entry, a per-fact propagation pass
+  cache walk with one lock/republish per slot, a per-fact propagation pass
   through the member forests, and one ``UnionRandomAccess.refresh()``;
 * the **batched path** calls ``service.apply(delta)`` once — one database
   version bump (one copy-on-write per touched relation), one cache walk,
-  one lock/re-key, bucket-grouped bulk inserts, one *deduplicated*
+  one lock/republish, bucket-grouped bulk inserts, one *deduplicated*
   propagation pass over the dirty bucket paths, and exactly one union
   refresh.
 

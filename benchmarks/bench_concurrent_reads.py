@@ -1,38 +1,40 @@
-"""Acceptance gate: snapshot-isolated reads vs. the per-entry-lock baseline.
+"""Acceptance gate: snapshot-isolated reads vs. a reader-writer-lock baseline.
 
 The question behind snapshot isolation: a hot **dynamic mc-UCQ** is cached
 and serving reader traffic (pagination + sampling) when a writer starts
-replaying ``Delta`` bursts. Before this PR, every read of a dynamic entry
-took the entry's write lock — and a batched ``apply`` holds that lock for
-the *entire* burst, so a reader's p99 latency degenerated to the burst
-duration. Now writers publish an immutable snapshot per batch (one atomic
-reference swap) and readers pin it, so a read never blocks on a write.
+replaying ``Delta`` bursts. If reads of a live dynamic index had to
+exclude its writer with a lock, a batched ``apply`` would hold that lock
+for the *entire* burst and a reader's p99 latency would degenerate to the
+burst duration. Instead writers publish an immutable snapshot per batch
+(one atomic reference swap) and readers pin it, so a read never blocks on
+a write.
 
 The gate runs the identical workload twice against one service:
 
-* **locked baseline** — readers reproduce the pre-snapshot read path:
-  resolve the entry, take its per-entry lock
-  (:meth:`~repro.service.cache.IndexCache.lock_for`, the same lock the
-  writer's ``apply`` holds for the whole burst), re-validate, and read the
-  live index under the lock. (The old path could also miss and pay a full
-  rebuild mid-burst; the reconstruction here is *charitable* to the
-  baseline — it only charges the lock stall, never a rebuild.)
+* **locked baseline** — the strawman, built from a lock this benchmark
+  owns (the service has none to offer): the writer holds ``gate`` around
+  each ``service.apply(burst)``, and readers take ``gate`` to read the
+  live index (``service.index(query)``) directly.
 * **snapshot path** — readers read through ``service.cursor(...)``:
-  wait-free pinned-snapshot reads, the production path.
+  wait-free pinned-snapshot reads, the production path; the writer takes
+  no gate.
 
 Both runs measure, over the writer's full burst window: aggregate reader
-throughput (reads/s) and per-read p99 latency. The gate asserts the
-snapshot path beats the locked baseline **≥ 5×** on both (the ISSUE 5
-acceptance bar), sanity-checks that reads stayed correct (right count,
-single consistent version per read) and that no production read took a
-lock (``stats().locked_reads == 0`` for the snapshot run), and writes the
-measured numbers to ``BENCH_concurrent_reads.json``.
+throughput (reads/s), per-read p99 latency, and how many reads began *and*
+ended inside one burst's ``apply`` interval. The gate asserts the
+snapshot path beats the locked baseline **≥ 5×** on throughput and p99
+(the ISSUE 5 acceptance bar), sanity-checks that reads stayed correct
+(right count, single consistent version per read) and that no production
+read took a lock (``stats().locked_reads == 0``), and writes the measured
+numbers to ``BENCH_concurrent_reads.json``.
 
 Usage
 -----
 ``PYTHONPATH=src python benchmarks/bench_concurrent_reads.py``          (full, asserts 5×)
-``PYTHONPATH=src python benchmarks/bench_concurrent_reads.py --smoke``  (small, CI-fast,
-asserts correctness and a modest ≥ 1.5× bar)
+``PYTHONPATH=src python benchmarks/bench_concurrent_reads.py --smoke``  (small, CI-fast:
+asserts correctness and — in place of a ratio, which is scheduling noise
+at this scale — the property the ratio stands for: snapshot readers
+complete reads inside a burst's ``apply`` interval, locked readers none)
 
 Not a pytest file on purpose: like the other gates, CI runs it directly
 (in ``--smoke`` mode).
@@ -41,6 +43,8 @@ Not a pytest file on purpose: like the other gates, CI runs it directly
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import random
 import statistics
 import sys
@@ -48,7 +52,6 @@ import threading
 import time
 
 from repro import Database, Delta, QueryService, Relation, parse_ucq
-from repro.service.cache import canonical_query_key
 
 QUERY_TEXT = (
     "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- R(a, b), T(b, c)"
@@ -88,39 +91,20 @@ def burst_stream(n_bursts: int, burst_size: int, left_rows: int, keys: int, seed
 
 
 class ReaderStats:
-    __slots__ = ("latencies", "reads")
+    __slots__ = ("spans", "reads")
 
     def __init__(self):
-        self.latencies = []
+        #: (began, ended) perf_counter pair per completed read.
+        self.spans = []
         self.reads = 0
-
-
-def locked_read(service, query, query_key, consume):
-    """One read the way the pre-snapshot service did it: resolve the entry
-    at the current version, take its write lock, re-validate, read the
-    live index under the lock (retrying across a concurrent re-key)."""
-    database = service.database
-    while True:
-        key = (database, database.version, query_key)
-        entry = service._cache.peek(key)
-        if entry is None:
-            # Mid-re-key (or pre-warm): the old path would rebuild here;
-            # charging the baseline nothing, just retry the probe.
-            key = (database, database.version - 1, query_key)
-            entry = service._cache.peek(key)
-            if entry is None:
-                continue
-        lock = service._cache.lock_for(key)
-        with lock:
-            if service._cache.peek(key) is entry:
-                return consume(entry)
-        # Lost the race with a concurrent re-key: resolve again.
 
 
 def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked):
     """One full storm: a writer replays every burst while readers hammer
-    pagination + sampling; returns (reader stats, writer seconds)."""
-    query_key = canonical_query_key(service.resolve(query))
+    pagination + sampling; returns (reader stats, writer seconds, the
+    (began, ended) interval of each burst's ``apply``)."""
+    # The strawman's reader-writer exclusion; the snapshot arm has none.
+    gate = threading.Lock() if locked else contextlib.nullcontext()
     start = threading.Barrier(n_readers + 1)
     done = threading.Event()
     stats = [ReaderStats() for __ in range(n_readers)]
@@ -135,22 +119,16 @@ def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked)
             while not done.is_set():
                 page = rng.randrange(8)
                 began = time.perf_counter()
-                if locked:
-                    answers = locked_read(
-                        service, query, query_key,
-                        lambda index: index.batch(
-                            range(page * page_size,
-                                  min((page + 1) * page_size, index.count))
-                        ) + index.sample_many(sample_size, rng),
-                    )
-                else:
-                    cursor = service.cursor(query)
-                    view = cursor.pinned
+                with gate:
+                    if locked:
+                        view = service.index(query)
+                    else:
+                        view = service.cursor(query).pinned
                     answers = view.batch(
                         range(page * page_size,
                               min((page + 1) * page_size, view.count))
                     ) + view.sample_many(sample_size, rng)
-                mine.latencies.append(time.perf_counter() - began)
+                mine.spans.append((began, time.perf_counter()))
                 mine.reads += 1
                 if len(answers) != page_size + sample_size:
                     raise AssertionError(
@@ -168,9 +146,14 @@ def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked)
     for thread in threads:
         thread.start()
     start.wait()
+    applies = []
     began = time.perf_counter()
     for burst in bursts:
-        service.apply(Delta(burst, database=service.database))
+        delta = Delta(burst, database=service.database)
+        with gate:
+            apply_began = time.perf_counter()
+            service.apply(delta)
+            applies.append((apply_began, time.perf_counter()))
     writer_seconds = time.perf_counter() - began
     done.set()
     for thread in threads:
@@ -179,17 +162,27 @@ def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked)
         raise errors[0]
     if service.count(query) != expected_count:
         raise AssertionError("paired bursts must restore the initial count")
-    return stats, writer_seconds
+    return stats, writer_seconds, applies
 
 
-def summarize(stats, window):
-    latencies = sorted(lat for s in stats for lat in s.latencies)
+def summarize(stats, window, applies):
+    spans = [span for s in stats for span in s.spans]
+    latencies = sorted(ended - began for began, ended in spans)
     reads = sum(s.reads for s in stats)
     if not latencies:
         raise AssertionError("readers never completed a read in the window")
     p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
+    # Reads that began and ended while one burst's apply was in flight
+    # (the applies are sequential, so their start times are sorted).
+    apply_starts = [began for began, __ in applies]
+    inside = 0
+    for began, ended in spans:
+        burst = bisect.bisect_right(apply_starts, began) - 1
+        if burst >= 0 and ended <= applies[burst][1]:
+            inside += 1
     return {
         "reads": reads,
+        "reads_inside_apply": inside,
         "throughput_per_second": reads / window,
         "p50_seconds": statistics.median(latencies),
         "p99_seconds": p99,
@@ -200,7 +193,7 @@ def summarize(stats, window):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="small instance, modest bar (CI sanity run)")
+                        help="small instance, no ratio bar (CI sanity run)")
     parser.add_argument("--readers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=20200614)
     parser.add_argument("--json", default="BENCH_concurrent_reads.json",
@@ -213,7 +206,7 @@ def main(argv=None) -> int:
         left_rows, keys, partners = 1_000, 50, 8
         n_bursts, burst_size = 4, 2_000
         page_size, sample_size = 10, 5
-        required_speedup = 1.5
+        required_speedup = None
     else:
         left_rows, keys, partners = 20_000, 400, 100
         n_bursts, burst_size = 6, 4_000
@@ -237,20 +230,20 @@ def main(argv=None) -> int:
 
     # Locked baseline first, then the snapshot path, on the same warmed
     # service (paired bursts restore the contents between runs).
-    locked_stats, locked_window = run_storm(
+    locked_stats, locked_window, locked_applies = run_storm(
         service, query, args.readers, page_size, sample_size, bursts,
         locked=True,
     )
-    snapshot_stats, snapshot_window = run_storm(
+    snapshot_stats, snapshot_window, snapshot_applies = run_storm(
         service, query, args.readers, page_size, sample_size, bursts,
         locked=False,
     )
 
-    locked = summarize(locked_stats, locked_window)
-    snapshot = summarize(snapshot_stats, snapshot_window)
+    locked = summarize(locked_stats, locked_window, locked_applies)
+    snapshot = summarize(snapshot_stats, snapshot_window, snapshot_applies)
     service_stats = service.stats()
     if service_stats.locked_reads != 0:
-        print("FAIL: a production (snapshot-path) read took the entry lock")
+        print("FAIL: a production (snapshot-path) read took a lock")
         return 1
     if service_stats.snapshot_publishes < 1:
         print("FAIL: the dynamic entry published no snapshots")
@@ -265,7 +258,8 @@ def main(argv=None) -> int:
         ("snapshot", snapshot, snapshot_window),
     ):
         print(f"{label}: {numbers['reads']} reads in {window:.2f}s "
-              f"({numbers['throughput_per_second']:.0f}/s), "
+              f"({numbers['throughput_per_second']:.0f}/s, "
+              f"{numbers['reads_inside_apply']} inside an apply), "
               f"p50 {numbers['p50_seconds'] * 1e3:.2f}ms, "
               f"p99 {numbers['p99_seconds'] * 1e3:.2f}ms, "
               f"max {numbers['max_seconds'] * 1e3:.2f}ms")
@@ -298,16 +292,29 @@ def main(argv=None) -> int:
     )
 
     failed = []
-    if throughput_speedup < required_speedup:
-        failed.append(f"throughput speedup {throughput_speedup:.1f}x "
-                      f"below required {required_speedup:.1f}x")
-    if p99_speedup < required_speedup:
-        failed.append(f"p99 improvement {p99_speedup:.1f}x "
-                      f"below required {required_speedup:.1f}x")
+    if locked["reads_inside_apply"] != 0:
+        failed.append(f"{locked['reads_inside_apply']} locked reads ran "
+                      f"inside an apply (the gate excludes nobody)")
+    if snapshot["reads_inside_apply"] < 1:
+        failed.append("no snapshot read completed inside an apply "
+                      "(readers waited the writer out)")
+    if required_speedup is not None:
+        if throughput_speedup < required_speedup:
+            failed.append(f"throughput speedup {throughput_speedup:.1f}x "
+                          f"below required {required_speedup:.1f}x")
+        if p99_speedup < required_speedup:
+            failed.append(f"p99 improvement {p99_speedup:.1f}x "
+                          f"below required {required_speedup:.1f}x")
     if failed:
         for reason in failed:
             print(f"FAIL: {reason}")
         return 1
+    if required_speedup is None:
+        print(f"OK: {snapshot['reads_inside_apply']} snapshot reads ran "
+              f"wait-free inside a burst's apply, 0 locked reads did "
+              f"(throughput {throughput_speedup:.1f}x, p99 "
+              f"{p99_speedup:.1f}x, not gated in --smoke)")
+        return 0
     print(f"OK: snapshot readers beat the locked baseline "
           f"{throughput_speedup:.1f}x on throughput and {p99_speedup:.1f}x "
           f"on p99 latency (required {required_speedup:.1f}x)")

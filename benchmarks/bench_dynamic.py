@@ -6,8 +6,8 @@ followed by a re-query (count + first page — a live search page under
 churn). Two services process the identical update stream:
 
 * ``dynamic=True`` — the cached :class:`~repro.core.dynamic.DynamicCQIndex`
-  absorbs each write in O(depth · log) and is re-keyed to the new database
-  version;
+  absorbs each write in O(depth · log) and is republished for the new
+  database version;
 * ``dynamic=False`` — each write invalidates the cached
   :class:`~repro.core.cq_index.CQIndex`, so the next re-query pays a full
   O(|D|) rebuild.
@@ -143,10 +143,10 @@ def main(argv=None) -> int:
     if dynamic_counts != rebuild_counts:
         print("FAIL: dynamic and rebuild paths disagree on counts")
         return 1
-    info = dynamic_service.cache_info()
-    if info.updates != n_updates:
+    in_place = dynamic_service.stats().in_place_updates
+    if in_place != n_updates:
         print(f"FAIL: expected {n_updates} in-place updates, "
-              f"cache recorded {info.updates}")
+              f"service recorded {in_place}")
         return 1
     n = dynamic_service.count(query)
     final_dynamic = sorted(dynamic_service.batch(query, range(n)))

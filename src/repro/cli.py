@@ -148,10 +148,11 @@ def _apply_mutations(service: QueryService, args) -> None:
         service.insert(relation, row)
     for relation, row in deletes:
         service.delete(relation, row)
-    info = service.cache_info()
+    stats = service.stats()
+    absorbed = stats.in_place_updates + stats.batched_updates + stats.carried_forward
     print(
         f"applied {len(inserts)} insert(s), {len(deletes)} delete(s) "
-        f"({info.updates} absorbed in place, {info.invalidations} invalidations)"
+        f"({absorbed} absorbed in place, {stats.invalidations} invalidations)"
     )
 
 

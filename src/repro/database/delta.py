@@ -6,7 +6,7 @@ It is *the* unit of writing: :meth:`repro.database.database.Database.apply`
 consumes one with a single version bump, and
 :meth:`repro.service.query_service.QueryService.apply` amortizes index
 maintenance — bucket grouping, one propagation pass, one union refresh,
-one cache re-key per entry — across the whole batch instead of per fact.
+one republication per cache slot — across the whole batch instead of per fact.
 
 Normalization (last-op-wins)
 ----------------------------

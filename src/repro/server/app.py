@@ -556,15 +556,17 @@ class ReproApp:
                 return 200, {**session.describe(), "count": count}
 
     def _read(self, session_id, answers_of, charge=None):
-        """One session read: resolve, serialize, charge, serve.
+        """One session read: resolve, admit, serialize, charge, serve.
 
         ``answers_of(cursor)`` runs under the session lock and must read
-        everything from one pinned view; the budget is charged with the
-        number of answers it returned (``charge`` overrides, for count /
+        everything from one pinned view; a spent budget is rejected
+        before it runs, and the budget is then charged with the number of
+        answers it returned (``charge`` overrides, for count /
         position_of style reads that serve one scalar).
         """
         session = self.sessions.get(session_id)
         with session.lock:
+            self.sessions.check_budget(session)
             result = answers_of(session.cursor)
             self.sessions.charge(
                 session,

@@ -242,10 +242,6 @@ class SessionTable:
     clock:
         Monotonic-seconds source — injectable so TTL tests advance time
         without sleeping.
-    on_evict:
-        Optional hook called with each reclaimed :class:`CursorSession`
-        (TTL expiry, LRU eviction, and explicit close alike) — the
-        service-layer attachment point for cleanup or metrics.
     """
 
     def __init__(
@@ -254,7 +250,6 @@ class SessionTable:
         default_ttl: Optional[float] = 300.0,
         default_budget: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
-        on_evict: Optional[Callable[[CursorSession], None]] = None,
     ):
         if capacity < 1:
             raise ValueError(f"session capacity must be positive, got {capacity}")
@@ -262,7 +257,6 @@ class SessionTable:
         self.default_ttl = default_ttl
         self.default_budget = default_budget
         self._clock = clock
-        self._on_evict = on_evict
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[str, CursorSession]" = OrderedDict()
         # Reclaimed id → reason, bounded by the tombstone ring.
@@ -333,18 +327,20 @@ class SessionTable:
             self._bury(session, "closed")
             return True
 
-    def charge(self, session: CursorSession, answers: int) -> None:
-        """Charge one read of ``answers`` answers against the budget.
-
-        Rejects *before* serving once the budget is exhausted, so the
-        429 arrives instead of a final over-budget page.
-        """
+    def check_budget(self, session: CursorSession) -> None:
+        """Reject (and count) a read against an exhausted budget — called
+        *before* the read is computed, so the 429 costs no engine walk."""
         with self._lock:
             if session.budget is not None and session.served >= session.budget:
                 self.budget_rejections += 1
                 raise ReadBudgetExceededError(
                     session.id, session.served, session.budget
                 )
+
+    def charge(self, session: CursorSession, answers: int) -> None:
+        """Charge one served read of ``answers`` answers against the
+        budget (:meth:`check_budget` admitted it before it was computed)."""
+        with self._lock:
             session.served += answers
             session.reads += 1
 
@@ -368,8 +364,6 @@ class SessionTable:
         self._tombstone_order.append(session.id)
         while len(self._tombstone_order) > TOMBSTONE_RING:
             self._tombstones.pop(self._tombstone_order.popleft(), None)
-        if self._on_evict is not None:
-            self._on_evict(session)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #

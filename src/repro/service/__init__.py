@@ -6,10 +6,11 @@ index is then hit many times. The modules here supply that "build once,
 serve many" shape:
 
 * :mod:`repro.service.cache` — :class:`IndexCache`, an LRU of built
-  indexes keyed by the canonicalized query and the database's mutation
-  version, so repeated queries skip preprocessing entirely and any
-  mutation either carries an update-capable entry forward (``rekey``) or
-  invalidates exactly the stale ones;
+  indexes keyed by the database and the canonicalized query, so repeated
+  queries skip preprocessing entirely; each slot publishes its
+  ``(version, view)`` pair as one reference, and any mutation either
+  republishes a slot for the new version (update-capable or untouched
+  indexes) or invalidates exactly the stale ones;
 * :mod:`repro.service.query_service` — :class:`QueryService`, the façade
   the applications (pagination, online aggregation, the CLI) talk to:
   reads through :class:`~repro.service.cursor.Cursor` objects
@@ -24,7 +25,9 @@ serve many" shape:
   propagation deduplicated across a batch), and hot full acyclic queries
   are promoted to that mode adaptively after repeated invalidations;
 * :mod:`repro.service.cursor` — the cursor itself, with the documented
-  staleness contract (transparent re-resolve or ``StaleCursorError``).
+  staleness contract (transparent re-resolve or ``StaleCursorError``);
+  a cursor's reported version is always the version its pinned view was
+  published for.
 
 Quickstart
 ----------

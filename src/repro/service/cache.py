@@ -2,18 +2,21 @@
 
 Keying
 ------
-A cache entry is addressed by ``(database, database version, query key)``:
+The :class:`~repro.service.query_service.QueryService` addresses the
+cache by ``(database, query key)`` and stores one :class:`Slot` per key:
 
 * the *database* is the :class:`~repro.database.database.Database` object
   itself (identity hash) — keeping it in the key pins it alive for the
-  entry's lifetime, so a key can never be recycled by a later allocation
-  the way an ``id()`` token could;
-* the *database version* is the database's monotone mutation counter —
-  any ``insert`` / ``delete`` / ``replace`` bumps it, so entries built
-  against older contents can never be returned again;
+  slot's lifetime, so a key can never be recycled by a later allocation
+  the way an ``id()`` token could, and two services sharing one cache over
+  different databases never collide;
 * the *query key* is the canonicalized structural form produced by
   :func:`canonical_query_key`, making the cache insensitive to how the
   query text was formatted or what the query object instance is.
+
+The database *version* is deliberately **not** part of the key: it is
+published inside the slot, together with the view it answers for (see
+:class:`Slot`). A write republishes a slot in place; a key never moves.
 
 Canonicalization is deliberately conservative: it preserves atom order and
 variable names, because both influence the join-tree construction and
@@ -42,9 +45,8 @@ Doctest
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
@@ -60,10 +62,6 @@ class CacheInfo(NamedTuple):
     invalidations: int
     size: int
     capacity: int
-    #: Entries carried across a mutation by re-keying instead of being
-    #: dropped: the dynamic update-in-place path, plus entries whose query
-    #: does not reference the mutated relation.
-    updates: int = 0
 
 
 def _cq_key(query: ConjunctiveQuery) -> tuple:
@@ -104,21 +102,43 @@ def canonical_query_key(query) -> tuple:
     raise TypeError(f"cannot key a {type(query).__name__} for the index cache")
 
 
+class Slot:
+    """One served query of one database: the live index and what readers
+    see of it.
+
+    ``index`` is the live (writer-side) object. ``published`` is the
+    ``(version, view)`` pair readers serve from: ``view`` is the index
+    itself when it is immutable (a static build), or its published
+    snapshot when it is update-capable (``supports_updates``). The pair is
+    one tuple, swapped whole by :meth:`publish`, so a reader that loads
+    ``slot.published`` once holds a view and the database version it
+    answers for — the two cannot be observed apart.
+    """
+
+    __slots__ = ("index", "published")
+
+    def __init__(self, index, version: int):
+        self.index = index
+        self.publish(version)
+
+    def publish(self, version: int) -> None:
+        """Publish the index's current state as the answer for ``version``
+        (writer only; one atomic reference swap)."""
+        index = self.index
+        view = index.snapshot if getattr(index, "supports_updates", False) else index
+        self.published = (version, view)
+
+
 class IndexCache:
     """A capacity-bounded LRU mapping of keys to built indexes.
 
     The cache is agnostic to what it stores — the
-    :class:`~repro.service.query_service.QueryService` keeps
-    :class:`~repro.core.cq_index.CQIndex` /
-    :class:`~repro.core.union_access.MCUCQIndex` instances in it, keyed as
-    described in the module docstring. ``get_or_build`` is the serving
-    read path; :meth:`invalidate` / :meth:`discard` drop stale entries
-    eagerly (they would also simply never be hit again, but dropping frees
-    capacity and memory immediately), and :meth:`peek` + :meth:`rekey`
-    support the service's update-in-place mode — a mutation applies its
-    delta to an update-capable entry (a
-    :class:`~repro.core.dynamic.DynamicCQIndex`) and re-keys it to the new
-    database version instead of dropping it.
+    :class:`~repro.service.query_service.QueryService` keeps one
+    :class:`Slot` per served query in it, keyed as described in the module
+    docstring. :meth:`get` / :meth:`get_or_build` are the serving read
+    path; :meth:`peek` inspects without side effects; :meth:`discard`
+    drops a stale entry eagerly, freeing capacity and memory immediately.
+    Entries never move: a mutation republishes a slot in place.
     """
 
     def __init__(self, capacity: int = 32):
@@ -126,14 +146,10 @@ class IndexCache:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[object, object]" = OrderedDict()
-        # Per-entry write locks (created on demand by lock_for); they move
-        # with the entry on rekey and die with it on discard/eviction.
-        self._locks: dict = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.updates = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -145,48 +161,37 @@ class IndexCache:
         """Current keys in LRU order (least recently used first)."""
         return list(self._entries)
 
+    def get(self, key) -> Optional[object]:
+        """The cached entry for ``key`` — a counted hit that moves it to
+        most-recently-used — or ``None`` (nothing counted)."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:
+                # A writer's discard (or another reader's eviction) took
+                # the key between the probe and the touch: the entry in
+                # hand is still the right answer, there is just nothing
+                # left to touch.
+                pass
+            self.hits += 1
+        return entry
+
     def get_or_build(self, key, builder: Callable[[], object]):
         """The cached entry for ``key``, building (and caching) on miss.
 
         A hit moves the entry to most-recently-used; a miss that
         overflows :attr:`capacity` evicts the least recently used entry.
         """
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = builder()
-        self._entries[key] = entry
-        if len(self._entries) > self.capacity:
-            evicted, __ = self._entries.popitem(last=False)
-            self._locks.pop(evicted, None)
-            self.evictions += 1
+        entry = self.get(key)
+        if entry is None:
+            self.misses += 1
+            entry = builder()
+            self._entries[key] = entry
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
         return entry
-
-    def lock_for(self, key) -> threading.Lock:
-        """The per-entry **writer-writer** lock for ``key``, created on
-        first use.
-
-        Mutations applying a delta to an update-in-place entry hold this
-        lock so two concurrent ``apply`` calls cannot interleave their
-        maintenance passes. Readers do *not* take it: they read the
-        entry's published snapshot (an atomic reference swap at the end of
-        each mutation), so a pagination or sampling read proceeds
-        wait-free while a writer holds the entry mid-burst. The lock
-        object follows the entry through :meth:`rekey`; because a re-key
-        abandons the old key (and a lock minted for an abandoned key
-        synchronizes with nobody), any locking caller must re-validate
-        that the entry is still cached under the key after fetching its
-        lock — see ``QueryService._read_view``'s legacy fallback. Static
-        entries are never mutated in place and take no lock.
-        """
-        # setdefault is atomic under the GIL: two threads racing the first
-        # use of a key agree on one lock (a plain get-then-set here would
-        # let a reader and the writer each mint their own lock and
-        # "synchronize" on nothing).
-        return self._locks.setdefault(key, threading.Lock())
 
     def peek(self, key) -> Optional[object]:
         """The entry for ``key``, or ``None`` — no LRU touch, no counters.
@@ -200,56 +205,13 @@ class IndexCache:
     def discard(self, key) -> bool:
         """Drop one entry by key; ``True`` when it existed.
 
-        Counts as an invalidation — this is the per-entry form the service
-        uses when a mutation makes a (static) entry stale.
+        Counts as an invalidation — this is the form the service uses
+        when a mutation makes a (static) entry stale.
         """
-        if key in self._entries:
-            del self._entries[key]
-            self._locks.pop(key, None)
-            self.invalidations += 1
-            return True
-        return False
-
-    def rekey(self, old_key, new_key) -> bool:
-        """Move the entry at ``old_key`` to ``new_key``; ``True`` on success.
-
-        The update-in-place path: a mutation applies the delta to a
-        dynamic entry, then re-keys it to the new database version instead
-        of dropping it. The moved entry becomes most-recently-used (it was
-        literally just used), and the move counts as an :attr:`updates`
-        tick, not an invalidation. A pre-existing entry at ``new_key`` is
-        replaced. No-op returning ``False`` when ``old_key`` is absent.
-        """
-        entry = self._entries.pop(old_key, _ABSENT)
-        if entry is _ABSENT:
+        if self._entries.pop(key, None) is None:
             return False
-        self._entries[new_key] = entry
-        self._entries.move_to_end(new_key)
-        lock = self._locks.pop(old_key, None)
-        if lock is not None:
-            self._locks[new_key] = lock
-        self.updates += 1
+        self.invalidations += 1
         return True
-
-    def invalidate(self, predicate: Optional[Callable[[object], bool]] = None) -> int:
-        """Drop entries whose key satisfies ``predicate`` (all, if omitted).
-
-        Returns how many entries were dropped. The service calls this with
-        a database-identity predicate after every mutation, so cache
-        capacity is never wasted on unreachable versions.
-        """
-        if predicate is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._locks.clear()
-        else:
-            stale = [key for key in self._entries if predicate(key)]
-            for key in stale:
-                del self._entries[key]
-                self._locks.pop(key, None)
-            dropped = len(stale)
-        self.invalidations += dropped
-        return dropped
 
     def info(self) -> CacheInfo:
         """A snapshot of the effectiveness counters."""
@@ -260,7 +222,6 @@ class IndexCache:
             invalidations=self.invalidations,
             size=len(self._entries),
             capacity=self.capacity,
-            updates=self.updates,
         )
 
     def __repr__(self) -> str:
@@ -268,6 +229,3 @@ class IndexCache:
             f"IndexCache(size={len(self._entries)}/{self.capacity}, "
             f"hits={self.hits}, misses={self.misses})"
         )
-
-
-_ABSENT = object()

@@ -5,43 +5,45 @@ re-resolve their query on every call — parse the rule, canonicalize it,
 look the entry up — which is cheap but pure waste for the common shape of
 a read session: one consumer issuing many reads against one query. A
 :class:`Cursor` front-loads that work: it parses and canonicalizes
-**exactly once** at construction, pins the database version it was opened
+**exactly once** at construction, binds the database version it was opened
 at, and then serves ``count`` / ``get`` / ``batch`` / ``pages`` /
 ``sample`` / ``random_order`` / ``position_of`` against one pinned,
-immutable read view — the entry's published snapshot for update-in-place
-entries, the (immutable) index itself for static ones. Reads are
-therefore **wait-free**: they never take the entry's write lock, cannot
-stall behind a writer mid-burst, and all reads against one pinned view
-are mutually consistent — a ``count`` and the ``batch`` it sizes can
-never disagree.
+immutable read view — the slot's published snapshot for update-in-place
+indexes, the (immutable) index itself for static ones. Reads are
+therefore **wait-free**: they take no lock, cannot stall behind a writer
+mid-burst, and all reads against one pinned view are mutually consistent
+— a ``count`` and the ``batch`` it sizes can never disagree.
+
+One read is one ``(version, view)`` pair
+----------------------------------------
+The service publishes each slot's version and view as a single tuple
+(:attr:`repro.service.cache.Slot.published`); a cursor loads it once,
+pins it, and reports *its* version. :attr:`Cursor.version` is therefore
+the version :attr:`Cursor.pinned` was published for — the two, and every
+HTTP payload built from them, cannot disagree under either policy below.
 
 Staleness contract (version-pinned)
 -----------------------------------
-The cursor pins ``database.version`` — and the snapshot published for it —
-at construction (and after each :meth:`refresh`). When a read finds the
-database has moved on, the ``on_stale`` policy chosen at construction
-decides — the caller's choice:
+When a read finds the database has moved past the pinned version, the
+``on_stale`` policy chosen at construction decides — the caller's choice:
 
 * ``"reresolve"`` (default) — the cursor transparently re-pins the
-  snapshot published for the current version and serves fresh answers.
-  This is the live-paginator behavior: a long-held cursor keeps serving
-  correct pages across mutations.
+  slot's currently published pair and serves it. This is the
+  live-paginator behavior: a long-held cursor keeps serving correct pages
+  across mutations. A read that lands while a writer is mid-``apply``
+  stays wait-free: it serves the last published (pre-batch) pair and
+  reports that pair's version, then picks up the new pair on the first
+  read after publication.
 * ``"raise"`` — the read raises :class:`StaleCursorError` instead, for
   callers that need a consistent position space across reads (for
   example, a pager that must not shift rows between two page fetches).
-  Call :meth:`refresh` to acknowledge the new version and continue.
+  Call :meth:`refresh` to acknowledge the new version and continue. A
+  strict cursor bound to a version whose write is still in flight waits
+  for that version's publication rather than serve the one before it.
 
-A cursor never mixes two versions within one read. ``"raise"`` cursors
-additionally guarantee answers computed against exactly the version they
-report: a read that lands while a writer is mid-``apply`` waits out the
-in-flight publication. A ``"reresolve"`` read in that window stays
-wait-free instead and may serve the final pre-batch version while
-:attr:`version` already reports the in-flight one — a freshness (never a
-consistency) race, recorded in the ROADMAP as the atomic
-``(version, snapshot)`` publication follow-on. Lazy streams
-(:meth:`random_order`, iteration) enumerate the snapshot pinned when
-they started — mutating the database while consuming one is safe; the
-stream simply keeps serving its pinned version.
+Lazy streams (:meth:`random_order`, iteration) enumerate the view pinned
+when they started — mutating the database while consuming one is safe;
+the stream simply keeps serving its pinned version.
 
 Doctest
 -------
@@ -79,22 +81,9 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import nullcontext
 from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
-
-#: The shared no-op guard returned by ``QueryService._read_view`` for
-#: wait-free views (published snapshots and immutable static indexes).
-#: Identity with this object is the cursor's "safe to pin" marker; any
-#: other guard means the view must not be pinned.
-UNGUARDED = nullcontext()
-
-#: No-op guard for a wait-free view that is immutable but must NOT be
-#: pinned: the pre-batch snapshot served while a writer is mid-``apply``.
-#: It is consistent for the single read that received it, but pinning it
-#: would freeze the cursor one version behind the one it reports.
-TRANSIENT = nullcontext()
 
 
 class StaleCursorError(ReproError, RuntimeError):
@@ -116,12 +105,11 @@ class Cursor:
 
     Build through :meth:`~repro.service.query_service.QueryService.cursor`.
     The query is resolved and canonicalized once, here; every read then
-    serves wait-free from the read view pinned at the bound version (the
-    entry's published snapshot for dynamic entries). A cursor also
-    duck-types the index contract (``count`` / ``access`` / ``batch`` /
-    ``sample_many`` / ``inverted_access``), so index-shaped consumers —
-    paginators, enumeration harnesses, online aggregation — run on a
-    cursor unchanged.
+    serves wait-free from the pinned ``(version, view)`` pair (the slot's
+    published snapshot for dynamic indexes). A cursor also duck-types the
+    index contract (``count`` / ``access`` / ``batch`` / ``sample_many`` /
+    ``inverted_access``), so index-shaped consumers — paginators,
+    enumeration harnesses, online aggregation — run on a cursor unchanged.
     """
 
     def __init__(self, service, query, on_stale: str = "reresolve"):
@@ -135,11 +123,11 @@ class Cursor:
         self.query = service.resolve(query)
         self._query_key = canonical_query_key(self.query)
         self._on_stale = on_stale
+        # Construction binds the *version*; the first read probes the
+        # cache once and pins the pair published for it, and every later
+        # read while the database stays at that version is probe-free.
+        # ``_version`` and ``_pinned`` are always one published pair.
         self._version = service.database.version
-        # The pinned read view resolves lazily on the first read:
-        # construction binds the *version*, the first read probes the
-        # cache once and pins the snapshot published for it, and every
-        # later read at the same version is probe-free.
         self._pinned = None
 
     # ------------------------------------------------------------------ #
@@ -148,7 +136,9 @@ class Cursor:
 
     @property
     def version(self) -> int:
-        """The database version this cursor is bound to."""
+        """The database version this cursor's answers are computed
+        against: the version :attr:`pinned` was published for (before the
+        first read, the version the cursor was opened at)."""
         return self._version
 
     @property
@@ -162,70 +152,51 @@ class Cursor:
         self._pinned = None
         return self
 
-    def _police_staleness(self) -> None:
-        """Apply the ``on_stale`` policy against the current version."""
+    def _police_staleness(self) -> int:
+        """The current database version; a strict cursor bound to any
+        other raises :class:`StaleCursorError`."""
         current = self._service.database.version
-        if current != self._version:
-            if self._on_stale == "raise":
-                raise StaleCursorError(self._version, current)
-            self._version = current
-            self._pinned = None
+        if self._on_stale == "raise" and current != self._version:
+            raise StaleCursorError(self._version, current)
+        return current
 
     def _view(self):
-        """``(view, guard)`` at the bound version, policing staleness.
+        """The pinned view, policing staleness.
 
-        The view is pinned on first use and reused until the bound version
+        The pair is pinned on first use and reused until the database
         moves (reresolve policy) or :meth:`refresh` is called, so a read
         session enumerates one published snapshot position-for-position.
-        ``guard`` is :data:`UNGUARDED` for pinned (wait-free) views,
-        :data:`TRANSIENT` for a one-read pre-batch snapshot served while a
-        writer is mid-``apply`` (wait-free, deliberately not pinned — the
-        next read picks up the newly published version), and a real lock
-        only for foreign update-capable entries that publish no snapshots.
         """
         service = self._service
-        self._police_staleness()
-        if self._pinned is not None:
-            service._count_snapshot_read(self._pinned)
-            return self._pinned, UNGUARDED
-        view, guard = service._read_view(self.query, self._query_key)
-        if self._on_stale == "raise":
-            # The strict contract promises answers computed against
-            # exactly the bound version: a transient pre-batch view would
-            # silently shift the position space between two reads, so
-            # wait out the in-flight publication instead of serving it.
-            while guard is TRANSIENT:
+        if self._police_staleness() != self._version or self._pinned is None:
+            while True:
+                version, view = service._slot(self.query, self._query_key).published
+                if self._on_stale != "raise" or version == self._version:
+                    break
+                # The strict contract promises answers computed against
+                # exactly the bound version, and the published pair is
+                # for another: either the database moved on (stale), or
+                # the bound version's write is still in flight — wait for
+                # its publication rather than serve the pre-batch view.
+                self._police_staleness()
                 time.sleep(0.0005)
-                current = service.database.version
-                if current != self._version:
-                    raise StaleCursorError(self._version, current)
-                view, guard = service._read_view(self.query, self._query_key)
-        if guard is UNGUARDED:
-            self._pinned = view
-        return view, guard
+            self._version, self._pinned = version, view
+        service._count_snapshot_read(self._pinned)
+        return self._pinned
 
     @property
     def pinned(self):
-        """The wait-free read view pinned at the bound version.
+        """The wait-free read view :attr:`version` was published for.
 
-        For dynamic entries this is the published
+        For dynamic indexes this is the published
         :class:`~repro.core.dynamic.IndexSnapshot` /
         :class:`~repro.core.union_access.UnionIndexSnapshot`; for static
-        entries the immutable index itself. Consumers that must stay on
-        one version across many reads (e.g. a whole online-aggregation
+        ones the immutable index itself. Consumers that must stay on one
+        version across many reads (e.g. a whole online-aggregation
         sample) can hold this object directly — it never changes under
-        them, whatever the writer does. (A transient mid-``apply`` view is
-        the immutable pre-batch snapshot, equally safe to hold.) Raises
-        ``TypeError`` for a foreign update-capable entry that publishes no
-        snapshots — no immutable view of it exists.
+        them, whatever the writer does.
         """
-        view, guard = self._view()
-        if guard is UNGUARDED or guard is TRANSIENT:
-            return view
-        raise TypeError(
-            "this entry publishes no snapshots; an immutable pinned view "
-            "is unavailable (read through the cursor's methods instead)"
-        )
+        return self._view()
 
     @property
     def index(self):
@@ -233,7 +204,7 @@ class Cursor:
         should go through the cursor's methods, which serve from the
         pinned snapshot)."""
         self._police_staleness()
-        return self._service._resolve_entry(self.query, self._query_key)
+        return self._service._slot(self.query, self._query_key).index
 
     # ------------------------------------------------------------------ #
     # Reads                                                               #
@@ -242,36 +213,29 @@ class Cursor:
     @property
     def count(self) -> int:
         """``|Q(D)|`` — O(1) after the (already cached) build."""
-        view, guard = self._view()
-        with guard:
-            return view.count
+        return self._view().count
 
     def __len__(self) -> int:
         return self.count
 
     def get(self, position: int) -> tuple:
         """The answer at ``position`` of the enumeration order."""
-        view, guard = self._view()
-        with guard:
-            return view.access(position)
+        return self._view().access(position)
 
     #: Index-contract alias for :meth:`get`.
     access = get
 
     def batch(self, positions: Sequence[int]) -> List[tuple]:
         """The answers at ``positions`` (unsorted, duplicates allowed)."""
-        view, guard = self._view()
-        with guard:
-            return view.batch(positions)
+        return self._view().batch(positions)
 
     def batch_range(self, start: int, stop: int) -> List[tuple]:
         """The answers at positions ``[start, min(stop, count))`` — the
         count clamp and the batch read the same pinned view, so a
         concurrent mutation cannot turn a just-valid range into an
         out-of-bound request (see :meth:`QueryService.batch_range`)."""
-        view, guard = self._view()
-        with guard:
-            return view.batch(range(max(start, 0), min(stop, view.count)))
+        view = self._view()
+        return view.batch(range(max(start, 0), min(stop, view.count)))
 
     def page(self, number: int, page_size: int = 10) -> List[tuple]:
         """Page ``number`` (0-based); short or empty past the last page."""
@@ -298,9 +262,7 @@ class Cursor:
 
     def sample(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
         """``min(k, count)`` uniform draws without replacement."""
-        view, guard = self._view()
-        with guard:
-            return view.sample_many(k, rng)
+        return self._view().sample_many(k, rng)
 
     #: Index-contract alias for :meth:`sample`.
     sample_many = sample
@@ -309,12 +271,10 @@ class Cursor:
         """The enumeration position of ``answer``, or ``None`` (inverted
         access, Algorithm 4); ``None`` also for indexes without inverted
         support (the union index)."""
-        view, guard = self._view()
-        inverted = getattr(view, "inverted_access", None)
+        inverted = getattr(self._view(), "inverted_access", None)
         if inverted is None:
             return None
-        with guard:
-            return inverted(tuple(answer))
+        return inverted(tuple(answer))
 
     def inverted_access(self, answer: tuple) -> Optional[int]:
         """Index-contract alias for :meth:`position_of`."""
@@ -327,19 +287,16 @@ class Cursor:
         (the union surface) by the view's own membership fallback — never
         by conflating "no inverted support" with "absent".
         """
-        view, guard = self._view()
+        view = self._view()
         inverted = getattr(view, "inverted_access", None)
-        with guard:
-            if inverted is None:
-                return tuple(answer) in view
-            return inverted(tuple(answer)) is not None
+        if inverted is None:
+            return tuple(answer) in view
+        return inverted(tuple(answer)) is not None
 
     def ensure_inverted_support(self) -> None:
         """Build the backing view's inverted-access support if needed
         (published snapshots and dynamic indexes keep it implicitly)."""
-        view, guard = self._view()
-        with guard:
-            view.ensure_inverted_support()
+        self._view().ensure_inverted_support()
 
     def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
         """REnum: every answer in uniformly random order.
@@ -349,14 +306,12 @@ class Cursor:
         freely while consuming; the draws stay a uniform permutation of
         the pinned version.
         """
-        view, __ = self._view()
-        return view.random_order(rng)
+        return self._view().random_order(rng)
 
     def __iter__(self) -> Iterator[tuple]:
         """Enumerate the pinned snapshot in index order (safe under
         concurrent writes, like :meth:`random_order`)."""
-        view, __ = self._view()
-        return iter(view)
+        return iter(self._view())
 
     def __repr__(self) -> str:
         name = getattr(self.query, "name", str(self.query))

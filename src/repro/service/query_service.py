@@ -1,7 +1,9 @@
 """The query-serving façade: build indexes once, answer many requests.
 
 ``QueryService`` binds one :class:`~repro.database.database.Database` and
-routes every request through the shared :class:`~repro.service.cache.IndexCache`:
+routes every request through the shared :class:`~repro.service.cache.IndexCache`,
+which holds one :class:`~repro.service.cache.Slot` per ``(database, query
+key)`` — the live index plus the ``(version, view)`` pair readers serve:
 
 * ``count(q)`` — ``|Q(D)|`` in O(1) after the (cached) build;
 * ``get(q, i)`` — single random access;
@@ -18,28 +20,29 @@ routes every request through the shared :class:`~repro.service.cache.IndexCache`
   shims that open a one-shot cursor);
 * ``apply(delta)`` / ``transaction()`` — batched writes: a whole
   :class:`~repro.database.delta.Delta` with one version bump, one lock
-  acquisition and one re-key per cached entry, and one union refresh per
-  dynamic UCQ entry (``insert`` / ``delete`` are thin one-fact deltas;
+  acquisition, one republication per cached slot, and one union refresh
+  per dynamic UCQ entry (``insert`` / ``delete`` are thin one-fact deltas;
   set semantics: re-inserting an existing fact or deleting an absent one
   is a no-op that keeps the cache warm);
 * ``stats()`` — serving effectiveness counters (cache hits/misses,
   promotions, in-place updates vs. rebuilds — split single-fact vs.
-  batched — compactions, snapshot reads vs. locked reads, snapshot
-  publishes).
+  batched — compactions, snapshot reads, snapshot publishes).
 
 Mutation path
 -------------
 A mutation bumps ``database.version`` (a batch bumps it **once**) and then
-walks this database's cache entries:
+walks this database's cache slots:
 
-* an entry whose query does not reference the mutated relation is carried
-  to the new version untouched — the mutation cannot change its answers;
+* a slot whose query does not reference the mutated relation republishes
+  the same view for the new version — the mutation cannot change its
+  answers;
 * an update-capable entry (a :class:`~repro.core.dynamic.DynamicCQIndex`,
   or an :class:`~repro.core.union_access.MCUCQIndex` built with
   ``dynamic=True``) absorbs the effective delta **in place** through its
   ``apply_delta`` — the one maintenance pass, whatever the batch size
   (O(depth · log) per fact, times the 2^m index family for a union) —
-  and is re-keyed to the new version — the hot write path;
+  and its slot publishes the new snapshot for the new version — the hot
+  write path;
 * any other entry over the mutated relation is dropped and will be rebuilt
   in O(|D|) on its next use — the cold path.
 
@@ -55,23 +58,23 @@ buckets maintain the canonical sort order under churn (see
 fresh static build at all times — promotion is invisible to readers, page
 for page.
 
-Concurrency model: snapshot reads, single-writer writes
--------------------------------------------------------
-Reads never block on writes. Every update-capable entry *publishes* an
-immutable snapshot of itself (:class:`~repro.core.dynamic.IndexSnapshot` /
-:class:`~repro.core.union_access.UnionIndexSnapshot`) with one atomic
-reference swap at the end of each mutation; the service's read surface —
-cursors and the free-method shims alike — resolves the entry and reads
-through the published snapshot, so a pagination or sampling read proceeds
-wait-free even while a writer holds the entry mid-burst, and always
-observes exactly one published version. The per-entry lock
-(:meth:`~repro.service.cache.IndexCache.lock_for`) is now purely a
-writer-writer lock: mutations hold it while applying deltas so two
-concurrent ``apply`` calls cannot interleave maintenance. Static entries
-are immutable and need neither. Lazy streams (``random_order``,
-iteration, ``online_mean``) are served from a pinned snapshot too, so
-consuming one across concurrent writes is safe — the stream simply keeps
-enumerating the version it pinned.
+Concurrency model: snapshot reads, one write lock
+-------------------------------------------------
+Reads never block on writes and take no lock. A slot's ``published`` is
+one ``(version, view)`` tuple, replaced whole and never mutated — the
+view is the immutable static index, or the immutable snapshot
+(:class:`~repro.core.dynamic.IndexSnapshot` /
+:class:`~repro.core.union_access.UnionIndexSnapshot`) an update-capable
+index publishes at the end of each mutation. The service's read surface —
+cursors and the free-method shims alike — loads that tuple once per pin,
+so a pagination or sampling read proceeds wait-free even while a writer
+is mid-burst, always observes exactly one published version, and reports
+the version its answers were published for. Writers serialize on one
+service-wide lock held across the whole of :meth:`QueryService.apply`, so
+two concurrent ``apply`` calls cannot interleave. Lazy streams
+(``random_order``, iteration, ``online_mean``) are served from a pinned
+view too, so consuming one across concurrent writes is safe — the stream
+simply keeps enumerating the version it pinned.
 
 Queries may be rule strings (parsed once per call — cheap next to any
 index work), :class:`~repro.query.cq.ConjunctiveQuery` objects, or
@@ -135,6 +138,7 @@ Delta(3 ops over R,S)
 from __future__ import annotations
 
 import random
+import threading
 import time
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
@@ -153,8 +157,8 @@ from repro.query.ucq import UnionOfConjunctiveQueries
 
 from repro.core import flat_store
 from repro.storage import atomic
-from repro.service.cache import CacheInfo, IndexCache, canonical_query_key
-from repro.service.cursor import Cursor, TRANSIENT, UNGUARDED
+from repro.service.cache import CacheInfo, IndexCache, Slot, canonical_query_key
+from repro.service.cursor import Cursor
 
 Query = Union[str, ConjunctiveQuery, UnionOfConjunctiveQueries]
 
@@ -226,9 +230,8 @@ class ServiceStats(NamedTuple):
     #: entry, or from an immutable static index. The healthy steady state:
     #: every read should land here.
     snapshot_reads: int = 0
-    #: Reads that had to fall back to acquiring the entry's write lock
-    #: (an update-capable index that publishes no snapshots). Zero for the
-    #: built-in indexes; a nonzero value flags a reader-stall regression.
+    #: Always 0: no read path takes a lock. The field is kept because
+    #: ``benchmarks/layers`` reports it (``service.locked_reads``).
     locked_reads: int = 0
     #: Snapshot versions published by this service's live update-capable
     #: entries (members, intersections and union versions included) —
@@ -380,7 +383,6 @@ class QueryService:
         self._batched_updates = 0
         self._batched_update_ops = 0
         self._snapshot_reads = 0
-        self._locked_reads = 0
         self._store = flat_store.resolve_store(store)
         # Backend name → build/read counters: the per-backend split of
         # static_builds / dynamic_builds / snapshot_reads.
@@ -388,9 +390,13 @@ class QueryService:
             name: {"static_builds": 0, "dynamic_builds": 0, "snapshot_reads": 0}
             for name in flat_store.VALID_STORES
         }
-        # True exactly while _absorb_delta carries entries to the new
-        # version: the window in which a read may serve the previous
-        # version's published snapshot instead of rebuilding.
+        # Held across the whole of apply(): one writer at a time, so a
+        # slot is only ever patched and republished by one thread.
+        self._write_lock = threading.Lock()
+        # True exactly while apply() is in flight (version bump and slot
+        # walk included): the window in which a slot that trails
+        # database.version is the last published version, not a stale
+        # one, and in which nothing may be built.
         self._absorbing = False
         # Canonical query key → {"single_fact", "batched", "batched_ops"}:
         # how each entry's in-place maintenance split between one-fact
@@ -448,23 +454,47 @@ class QueryService:
     def index(self, query: Query):
         """The (cached) live random-access index for ``query``.
 
-        The cache key includes ``database.version``; a mutation between two
-        calls yields either the same dynamic index carried forward to the
-        new version (update-in-place entries) or a fresh build. Identical
-        repeat calls are O(1) lookups plus an LRU touch. This is the live
-        (writer-side) object — concurrent readers should go through
-        :meth:`cursor`, which reads the published snapshot.
+        A mutation between two calls yields either the same dynamic index
+        updated in place or a fresh build. Identical repeat calls are
+        O(1) lookups plus an LRU touch. This is the live (writer-side)
+        object — concurrent readers should go through :meth:`cursor`,
+        which reads the published ``(version, view)`` pair.
         """
         query = self.resolve(query)
-        return self._resolve_entry(query, canonical_query_key(query))
+        return self._slot(query, canonical_query_key(query)).index
 
-    def _resolve_entry(self, query, query_key):
-        """The cached entry for the already canonicalized query, built on
-        miss — one cache probe, no locking.
+    def _slots(self):
+        """``(query key, slot)`` for each of this database's cache slots.
+
+        A shared cache may hold foreign-shaped keys (IndexCache is
+        storage-agnostic) and other services' slots; only keys bound to
+        this database (by identity) are this service's to read or patch.
+        """
+        database = self._database
+        for key in self._cache.keys():
+            if isinstance(key, tuple) and len(key) == 2 and key[0] is database:
+                slot = self._cache.peek(key)
+                if slot is not None:
+                    yield key[1], slot
+
+    def _slot(self, query, query_key) -> Slot:
+        """The cache slot for the already canonicalized query, built on
+        miss — the one lookup every read goes through, no locking.
+
+        A reader takes ``slot.published`` from the result — one load of
+        one ``(version, view)`` tuple — and reports the pair's own
+        version. A pair at ``database.version`` is current. One that
+        trails it while this service's writer is mid-``apply`` is the
+        last published version: readers proceed on it during a write
+        burst instead of paying a rebuild inside the read path. One that
+        trails with **no** writer in flight went stale through an
+        out-of-band mutation the service never saw — unless the writer
+        republished it between this method's loads, which a second load
+        tells apart — and is discarded and rebuilt.
 
         A miss builds *outside* the cache and re-validates around the
         build: a build that overlaps a concurrent ``apply`` may read
-        relation states the key's version never equaled — either torn
+        relation states no single version ever equaled — either torn
         across two version swaps, or post-swap data read in the sliver
         where ``Database.apply`` has replaced relations but not yet
         bumped the version (the ``_absorbing`` flag brackets that whole
@@ -472,92 +502,28 @@ class QueryService:
         cached, where the writer's next walk would patch it as if it
         matched its version — double-applying the in-flight delta.
         """
+        database = self._database
+        key = (database, query_key)
         while True:
-            # The key holds the Database object itself (identity hash): a
-            # live entry therefore pins its database, so — unlike an id()
-            # token — the key can never be recycled by a later allocation.
-            version = self._database.version
-            key = (self._database, version, query_key)
-            entry = self._cache.peek(key)
-            if entry is not None:
-                # Present: route through get_or_build for the hit count
-                # and the LRU touch.
-                return self._cache.get_or_build(key, lambda: entry)
-            if self._absorbing:
+            slot = self._cache.get(key)
+            if slot is not None:
+                published = slot.published
+                if published[0] == database.version or self._absorbing:
+                    return slot
+                if slot.published is published and self._cache.peek(key) is slot:
+                    self._cache.discard(key)
+            elif self._absorbing:
                 # A writer is mid-apply (only observable from another
                 # thread): any index built now is doomed to the discard
                 # below — wait the write out instead of building it.
                 time.sleep(0.0005)
-                continue
-            built = self._build(query, query_key)
-            if not self._absorbing and self._database.version == version:
-                return self._cache.get_or_build(key, lambda: built)
-
-    def _read_view(self, query, query_key):
-        """``(view, guard)`` — the wait-free read surface for one request.
-
-        For static entries the view is the (immutable) index itself; for
-        update-capable entries it is the entry's published snapshot — both
-        guarded by the shared no-op :data:`~repro.service.cursor.UNGUARDED`
-        context, which doubles as the "safe to pin" marker for cursors
-        (mid-``apply`` behind-version reads come back with
-        :data:`~repro.service.cursor.TRANSIENT` instead: wait-free but
-        not pinnable). Readers never take the entry lock on these paths,
-        so they cannot stall behind a writer mid-burst.
-
-        While a writer is mid-``apply`` — the database version already
-        bumped, the entry not yet re-keyed to it — a read that finds no
-        entry at the current version serves the **previous version's
-        published snapshot** instead of paying a full rebuild inside the
-        read path: exactly the snapshot-isolation contract (readers
-        proceed on the last published version during a write burst), and
-        what keeps reader latency flat while the writer churns.
-
-        The lock-acquiring fallback survives only for duck-typed foreign
-        entries that claim ``supports_updates`` without publishing
-        snapshots; it re-validates the entry under the lock exactly like
-        the pre-snapshot read path did (a concurrent mutation may have
-        re-keyed the entry, moving its lock) and counts into
-        ``locked_reads`` so a regression is visible in :meth:`stats`.
-        """
-        while True:
-            database = self._database
-            version = database.version
-            if (self._absorbing
-                    and self._cache.peek((database, version, query_key)) is None):
-                # Miss at the current version while this service's writer
-                # is mid-walk. If the walk is still carrying the entry
-                # over (it sits at the pre-bump version with a published
-                # snapshot), read that version rather than rebuilding.
-                # Out-of-band version bumps never take this path: the
-                # flag is only set under apply, so a lingering stale
-                # entry is rebuilt, exactly as before.
-                behind = self._cache.peek((database, version - 1, query_key))
-                if getattr(behind, "supports_updates", False):
-                    snapshot = getattr(behind, "snapshot", None)
-                    if snapshot is not None:
-                        self._count_snapshot_read(behind)
-                        # TRANSIENT, not UNGUARDED: consistent for this
-                        # one read, but a cursor must not pin it — it
-                        # trails the version the cursor reports, and the
-                        # next read should pick up the post-batch
-                        # publication.
-                        return snapshot, TRANSIENT
-            entry = self._resolve_entry(query, query_key)
-            if not getattr(entry, "supports_updates", False):
-                self._count_snapshot_read(entry)
-                return entry, UNGUARDED
-            snapshot = getattr(entry, "snapshot", None)
-            if snapshot is not None:
-                self._count_snapshot_read(entry)
-                return snapshot, UNGUARDED
-            key = (self._database, self._database.version, query_key)
-            lock = self._cache.lock_for(key)
-            if self._cache.peek(key) is entry:
-                self._locked_reads += 1
-                return entry, lock
-            # Lost the race with a concurrent re-key/eviction: resolve
-            # again at the (new) current version.
+            else:
+                version = database.version
+                built = self._build(query, query_key)
+                if not self._absorbing and database.version == version:
+                    return self._cache.get_or_build(
+                        key, lambda: Slot(built, version)
+                    )
 
     def _count_snapshot_read(self, entry) -> None:
         """One wait-free read served by ``entry`` (global + per-backend)."""
@@ -756,9 +722,9 @@ class QueryService:
         The write-burst entry point: the database takes **one** version
         bump (:meth:`~repro.database.database.Database.apply` — one
         copy-on-write rebuild per touched relation, not per fact), and the
-        cache walk happens **once** — one lock acquisition and one re-key
-        per update-capable entry, which absorbs the *effective* sub-delta
-        through its ``apply_delta`` (grouped buckets, one deduplicated
+        cache walk happens **once**, under the service's one write lock —
+        one republication per slot, whose update-capable index absorbs the
+        *effective* sub-delta through its ``apply_delta`` (grouped buckets, one deduplicated
         propagation pass, and for a dynamic union exactly one
         ``UnionRandomAccess.refresh`` instead of one per fact).
 
@@ -766,7 +732,7 @@ class QueryService:
         triples; every op is validated up front
         (:class:`~repro.database.delta.DeltaError` on unknown relations or
         wrong arities) before anything mutates. A batch whose every op is
-        a no-op changes nothing: no version bump, entries stay put. For
+        a no-op changes nothing: no version bump, slots stay put. For
         promotion accounting, churn credit is *delta-aware*: a dropped
         static entry's counter grows by the number of effective ops that
         touch its query's relations (minimum one), so a single hot burst
@@ -789,22 +755,24 @@ class QueryService:
         """
         if not isinstance(delta, Delta):
             delta = Delta(delta, database=self._database)
-        self._check_write_path()
-        # The flag spans the whole write (version bump included), so a
-        # concurrent read that probes the bump-to-rekey window serves the
-        # previous published snapshot instead of paying a rebuild.
-        self._absorbing = True
-        try:
+        with self._write_lock:
+            self._check_write_path()
+            # The flag spans the whole write (version bump included), so
+            # a concurrent read that lands before the slots are
+            # republished serves the last published pair instead of
+            # paying a rebuild.
+            self._absorbing = True
             try:
-                result = self._database.apply(delta)
-            except OSError as error:
-                raise self._enter_degraded(error) from error
-            if result.changed:
-                self._absorb_delta(result.effective)
-        finally:
-            self._absorbing = False
-        if self._degraded_reason is not None:
-            self._exit_degraded()
+                try:
+                    result = self._database.apply(delta)
+                except OSError as error:
+                    raise self._enter_degraded(error) from error
+                if result.changed:
+                    self._absorb_delta(result.effective)
+            finally:
+                self._absorbing = False
+            if self._degraded_reason is not None:
+                self._exit_degraded()
         return result
 
     # ------------------------------------------------------------------ #
@@ -900,23 +868,21 @@ class QueryService:
         return Transaction(self)
 
     def _absorb_delta(self, effective: Delta) -> None:
-        """Carry this database's cache entries across one applied batch.
-
-        A shared cache may hold foreign-shaped keys (IndexCache is
-        storage-agnostic); only this service's (database, version, query)
-        tuples are touched. For entries at the pre-batch version:
+        """Carry this database's cache slots across one applied batch
+        (called under the write lock). For slots published at the
+        pre-batch version:
 
         * a query that references none of the batch's relations cannot
-          have changed answers — the entry (static or dynamic) is re-keyed
-          to the new version untouched;
-        * an update-capable entry (``supports_updates``) absorbs the batch
-          — one ``apply_delta`` under one lock acquisition — and is
-          re-keyed once;
-        * any other entry over a touched relation is dropped, and its
+          have changed answers — the slot (static or dynamic) republishes
+          the same view for the new version;
+        * an update-capable index (``supports_updates``) absorbs the batch
+          — one ``apply_delta`` — and the slot publishes its new snapshot
+          for the new version;
+        * any other slot over a touched relation is dropped, and its
           query key's churn counter bumped — the promotion pressure that
           eventually flips a hot query to the dynamic path.
 
-        Entries at older versions went stale through an out-of-band
+        Slots at older versions went stale through an out-of-band
         mutation the service never saw; they cannot be patched and are
         dropped (without churn credit — that was not write pressure on
         the query).
@@ -925,29 +891,20 @@ class QueryService:
         new_version = database.version
         touched = effective.relations()
         single = len(effective) == 1
-        ours = [
-            key
-            for key in self._cache.keys()
-            if isinstance(key, tuple) and len(key) == 3 and key[0] is database
-        ]
-        for key in ours:
-            query_key = key[2]
+        for query_key, slot in self._slots():
             # Database.apply bumps the version by exactly one per batch,
-            # so a current entry sits at new_version - 1.
-            current = key[1] == new_version - 1
-            if not current:
-                self._cache.discard(key)
+            # so a current slot sits at new_version - 1.
+            if slot.published[0] != new_version - 1:
+                self._cache.discard((database, query_key))
                 continue
             referenced = _relations_in_key(query_key)
             if touched.isdisjoint(referenced):
-                self._cache.rekey(key, (database, new_version, query_key))
+                slot.publish(new_version)
                 self._carried_forward += 1
                 continue
-            entry = self._cache.peek(key)
-            if getattr(entry, "supports_updates", False):
-                with self._cache.lock_for(key):
-                    entry.apply_delta(effective)
-                    self._cache.rekey(key, (database, new_version, query_key))
+            if getattr(slot.index, "supports_updates", False):
+                slot.index.apply_delta(effective)
+                slot.publish(new_version)
                 profile = self._entry_updates.setdefault(
                     query_key,
                     {"single_fact": 0, "batched": 0, "batched_ops": 0},
@@ -961,7 +918,7 @@ class QueryService:
                     profile["batched"] += 1
                     profile["batched_ops"] += len(effective)
             else:
-                self._cache.discard(key)
+                self._cache.discard((database, query_key))
                 # Delta-aware promotion credit: churn pressure scales with
                 # how much of the batch actually hit this query's
                 # relations, so a write-burst-heavy query reaches the
@@ -1017,16 +974,15 @@ class QueryService:
         return path
 
     def _serve_state(self) -> List[tuple]:
-        """``(query key, entry)`` pairs for this database at the current
-        version — what a checkpoint preserves of the warm cache."""
-        database = self._database
-        version = database.version
-        state = []
-        for key in self._cache.keys():
-            if (isinstance(key, tuple) and len(key) == 3
-                    and key[0] is database and key[1] == version):
-                state.append((key[2], self._cache.peek(key)))
-        return state
+        """``(query key, index)`` pairs for this database's slots
+        published at the current version — what a checkpoint preserves of
+        the warm cache."""
+        version = self._database.version
+        return [
+            (query_key, slot.index)
+            for query_key, slot in self._slots()
+            if slot.published[0] == version
+        ]
 
     @classmethod
     def recover(cls, directory, **kwargs) -> "QueryService":
@@ -1060,8 +1016,8 @@ class QueryService:
         service = cls(database, **kwargs)
         for query_key, entry in ckpt.serve_state:
             service._cache.get_or_build(
-                (database, database.version, query_key),
-                lambda entry=entry: entry,
+                (database, query_key),
+                lambda entry=entry: Slot(entry, database.version),
             )
         report = store.replay_tail(
             database, ckpt, wal, service.apply, len(ckpt.serve_state)
@@ -1083,7 +1039,7 @@ class QueryService:
     # ------------------------------------------------------------------ #
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction/invalidation/update counters of the cache."""
+        """Hit/miss/eviction/invalidation counters of the cache."""
         return self._cache.info()
 
     def stats(self) -> ServiceStats:
@@ -1095,18 +1051,14 @@ class QueryService:
         report the live dynamic working set's self-maintenance, not an
         all-time total. A shared cache may hold other services' entries;
         like the mutation walk, the sums only touch keys bound to this
-        database. ``snapshot_reads`` / ``locked_reads`` split the read
-        traffic into wait-free snapshot-backed reads and legacy
-        lock-acquiring reads — the latter should stay at zero.
+        database. Every read is a wait-free ``snapshot_reads`` tick;
+        ``locked_reads`` is a constant 0.
         """
         info = self._cache.info()
         compactions = 0
         publishes = 0
-        for key in self._cache.keys():
-            if not (isinstance(key, tuple) and len(key) == 3
-                    and key[0] is self._database):
-                continue
-            entry = self._cache.peek(key)
+        for __, slot in self._slots():
+            entry = slot.index
             if not getattr(entry, "supports_updates", False):
                 continue
             if isinstance(entry, MCUCQIndex):
@@ -1139,7 +1091,7 @@ class QueryService:
             batched_updates=self._batched_updates,
             batched_update_ops=self._batched_update_ops,
             snapshot_reads=self._snapshot_reads,
-            locked_reads=self._locked_reads,
+            locked_reads=0,
             snapshot_publishes=publishes,
             wal_appends=(
                 self._storage.wal.appends

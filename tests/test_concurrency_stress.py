@@ -5,7 +5,9 @@ so every published snapshot holds a single generation of answers, always
 with the same count. Reader threads page and sample through cursors while
 the writer churns; any torn read (a half-applied batch, or a view mixing
 two published versions) shows up as a mixed-generation page or a wrong
-count. Runs in the fast (``-m "not slow"``) CI lane by design: the whole
+count, and any read whose cursor reports a version other than the one its
+view was published for shows up as a version serving the wrong
+generation. Runs in the fast (``-m "not slow"``) CI lane by design: the whole
 storm is a few thousand reads over a small database.
 """
 
@@ -42,8 +44,12 @@ def build_service():
 def test_every_read_observes_exactly_one_published_version():
     service = build_service()
     service.count(QUERY)  # warm the dynamic entry
+    base_version = service.database.version
     errors = []
     done = threading.Event()
+    # cursor.version → the generations readers saw served under it. Each
+    # swap is one version bump, so version v holds generation v - base.
+    served_at = {}
 
     def check_single_generation(answers, where):
         generations = {a // GEN_STRIDE for a, __, __ in answers}
@@ -51,6 +57,7 @@ def test_every_read_observes_exactly_one_published_version():
             raise AssertionError(
                 f"{where} mixed generations {sorted(generations)}"
             )
+        return generations
 
     def writer():
         try:
@@ -72,14 +79,18 @@ def test_every_read_observes_exactly_one_published_version():
                 # *between* reads (live-pagination semantics); a reader
                 # that needs one consistent multi-read session holds the
                 # pinned snapshot itself.
-                view = service.cursor(QUERY).pinned
+                cursor = service.cursor(QUERY)
+                view = cursor.pinned
+                version = cursor.version
                 count = view.count
                 assert count == EXPECTED_COUNT, count
                 seen = []
                 for start in range(0, count, 17):
                     seen.extend(view.batch(range(start, min(start + 17, count))))
                 assert len(seen) == count
-                check_single_generation(seen, "pages")
+                served_at.setdefault(version, set()).update(
+                    check_single_generation(seen, "pages")
+                )
         except Exception as exc:  # pragma: no cover - the failure mode
             errors.append(exc)
 
@@ -124,9 +135,15 @@ def test_every_read_observes_exactly_one_published_version():
         thread.join(timeout=120)
     assert not errors, errors
     assert not any(thread.is_alive() for thread in threads)
+    # Version honesty across all readers: one generation per reported
+    # version, and the right one.
+    assert served_at
+    assert served_at == {
+        version: {version - base_version} for version in served_at
+    }
 
     # The storm settled on the final generation, and no reader ever took
-    # the entry lock.
+    # a lock.
     final = service.cursor(QUERY)
     assert final.count == EXPECTED_COUNT
     assert {a // GEN_STRIDE for a, __, __ in final.batch(range(final.count))} \
@@ -134,11 +151,9 @@ def test_every_read_observes_exactly_one_published_version():
     stats = service.stats()
     assert stats.locked_reads == 0
     assert stats.snapshot_reads > 0
-    # How many bursts were absorbed in place vs. served by a racing
-    # reader's rebuild is timing-dependent (a reader probing the miss
-    # window between the version bump and the writer's re-key builds a
-    # fresh entry); the invariant is that the write path stayed on the
-    # delta surface and the live entry publishes snapshots.
-    assert stats.batched_updates + stats.dynamic_builds >= 1
+    # The slot never moves, so no reader can miss it mid-write: every
+    # burst was absorbed in place by the one warm dynamic index.
+    assert stats.batched_updates == GENERATIONS
+    assert stats.dynamic_builds == 1
     assert stats.in_place_updates == 0
     assert stats.snapshot_publishes >= 1

@@ -20,6 +20,7 @@ from repro import Database, Delta, QueryService, Relation, parse_cq
 from repro.cli import _print_serve_report, command_checkpoint, command_recover
 from repro.core import flat_store
 from repro.core.cq_index import CQIndex
+from repro.service.cache import Slot
 from repro.storage import serve_blob
 from repro.storage.checkpoint import latest_checkpoint, valid_checkpoints
 
@@ -250,8 +251,8 @@ class TestCheckpointBlobLane:
         # carry (a lambda): the checkpoint must skip it, count it, and
         # still persist everything else.
         service._cache.get_or_build(
-            (database, database.version, ("unserializable",)),
-            lambda: (lambda: None),
+            (database, ("unserializable",)),
+            lambda: Slot(lambda: None, database.version),
         )
         service.checkpoint()
         manifest = service.storage.last_manifest

@@ -237,6 +237,21 @@ class TestReadBudget:
         assert c.get(f"/cursors/{open_cursor(c)['cursor']}/count").status == 200
         assert c.get("/stats").json()["sessions"]["budget_rejections"] == 1
 
+    def test_spent_budget_rejects_before_the_engine_walk(self, monkeypatch):
+        """Regression: a session past its budget used to compute the whole
+        sample on every further request and only then answer 429."""
+        app = create_app(fresh_db(), read_budget=4)
+        c = TestClient(app)
+        sid = open_cursor(c)["cursor"]
+        assert c.get(f"/cursors/{sid}/sample?k=4&seed=1").status == 200
+        view = app.sessions.get(sid).cursor.pinned
+        walks = []
+        monkeypatch.setattr(
+            type(view), "sample_many", lambda *args: walks.append(args) or []
+        )
+        assert c.get(f"/cursors/{sid}/sample?k=4&seed=1").status == 429
+        assert walks == []
+
     def test_client_budget_clamped_to_server_default(self):
         c = TestClient(create_app(fresh_db(), read_budget=2))
         generous = open_cursor(c, budget=1_000_000)

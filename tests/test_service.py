@@ -88,16 +88,6 @@ class TestIndexCacheLRU:
         assert built == [1]
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_invalidate_predicate_and_clear(self):
-        cache = IndexCache(capacity=8)
-        for key in ("x1", "x2", "y1"):
-            cache.get_or_build(key, lambda: key)
-        assert cache.invalidate(lambda k: k.startswith("x")) == 2
-        assert cache.keys() == ["y1"]
-        assert cache.invalidate() == 1
-        assert len(cache) == 0
-        assert cache.invalidations == 3
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             IndexCache(capacity=0)
@@ -119,16 +109,33 @@ class TestIndexCacheLRU:
         assert "a" not in cache
         assert cache.invalidations == 1
 
-    def test_rekey_moves_entry_and_counts_update(self):
+    def test_hit_survives_a_discard_between_probe_and_touch(self):
+        """Regression: the hit path probes, then touches the LRU order; a
+        writer's discard landing between the two must not turn the hit
+        into a KeyError (a 500 at the HTTP tier) — the entry already in
+        hand is served."""
+        from collections import OrderedDict
+
+        class DiscardedMidHit(OrderedDict):
+            def get(self, key, default=None):
+                entry = super().get(key, default)
+                self.pop(key, None)  # the concurrent discard
+                return entry
+
         cache = IndexCache(capacity=4)
-        cache.get_or_build("old", lambda: "X")
-        cache.get_or_build("other", lambda: "Y")
-        assert cache.rekey("old", "new")
-        assert not cache.rekey("old", "newer")  # already moved
-        assert cache.peek("new") == "X" and "old" not in cache
-        assert cache.keys()[-1] == "new"  # re-keyed entry is MRU
-        assert (cache.updates, cache.invalidations) == (1, 0)
-        assert cache.info().updates == 1
+        cache.get_or_build("k", lambda: "X")
+        cache._entries = DiscardedMidHit(cache._entries)
+        assert cache.get_or_build("k", lambda: "never built") == "X"
+        assert cache.hits == 1 and "k" not in cache
+
+    def test_get_counts_hits_only(self):
+        cache = IndexCache(capacity=4)
+        assert cache.get("a") is None
+        cache.get_or_build("a", lambda: "A")
+        cache.get_or_build("b", lambda: "B")
+        assert cache.get("a") == "A"
+        assert cache.keys() == ["b", "a"]  # the hit is an LRU touch
+        assert (cache.hits, cache.misses) == (1, 2)
 
     @pytest.mark.slow
     def test_stress_many_queries_cycling_under_pressure(self):
@@ -267,7 +274,7 @@ class TestDynamicMutationPath:
         assert service.insert("S", (30, 301))
         assert service.delete("R", (1, 10))
         assert service.index(CHAIN) is first  # same object, carried forward
-        assert service.cache_info().updates == 2
+        assert service.stats().in_place_updates == 2
         assert service.cache_info().invalidations == 0
         assert service.count(CHAIN) == 3
 
@@ -328,7 +335,7 @@ class TestDynamicMutationPath:
                 assert hot_pages == cold_pages
                 sample = hot.sample(CHAIN, min(5, n), random.Random(step))
                 assert sample == cold.sample(CHAIN, min(5, n), random.Random(step))
-        assert hot.cache_info().updates > 0
+        assert hot.stats().in_place_updates > 0
 
     def test_live_paginator_follows_dynamic_updates(self):
         service = QueryService(fresh_db(), dynamic=True)
@@ -357,8 +364,8 @@ class TestDynamicMutationPath:
         for i in range(5):
             assert service.insert("T", (100 + i,))
             assert service.index(CHAIN) is entry  # carried forward untouched
-        info = service.cache_info()
-        assert info.invalidations == 0 and info.updates == 5
+        stats = service.stats()
+        assert stats.invalidations == 0 and stats.carried_forward == 5
         # Far past promote_after, yet never promoted: no churn accrued.
         assert isinstance(service.index(CHAIN), CQIndex)
         # A write to a referenced relation still invalidates as usual.

@@ -4,7 +4,7 @@ Covers the full stack — treap copy-on-write (`order_tree`), the frozen
 bucket store (`access_engine.SnapshotBucketStore`), forest snapshots
 (`dynamic.IndexSnapshot`), union snapshots
 (`union_access.UnionIndexSnapshot`), and the service/cursor read path
-(pinning, stats counters, the legacy locked fallback).
+(pinning one published `(version, view)` pair, stats counters).
 """
 
 import random
@@ -15,7 +15,8 @@ from repro import CQIndex, Database, DynamicCQIndex, QueryService, Relation, par
 from repro.core.access_engine import SnapshotBucketStore
 from repro.core.order_tree import OrderedWeightTree
 from repro.core.union_access import MCUCQIndex
-from repro.service.cache import canonical_query_key
+from repro.service.cache import IndexCache
+from repro.service.cursor import StaleCursorError
 
 CHAIN = "Q(a, b, c) :- R(a, b), S(b, c)"
 UNION = "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- R(a, b), T(b, c)"
@@ -213,26 +214,82 @@ class TestServiceSnapshotReads:
         assert {"snapshot_reads", "locked_reads", "snapshot_publishes"} <= \
             set(stats._asdict())
 
-    def test_mid_apply_behind_read_is_transient_not_pinned(self):
-        """A read landing in the bump-to-rekey window serves the pre-batch
-        snapshot wait-free — but must NOT pin it: the cursor already
-        reports the new version, and pinning would freeze it one version
-        behind forever (regression: reresolve contract violation)."""
+    def test_mid_apply_read_serves_and_reports_the_last_published_pair(self):
+        """A read landing between the version bump and the slot's
+        republication serves the pre-batch snapshot wait-free — and
+        reports *that* pair's version, not the in-flight one — then picks
+        up the new pair on the first read after publication."""
         service = QueryService(fresh_db(), dynamic=True)
         n0 = service.count(CHAIN)
         cursor = service.cursor(CHAIN)
-        # Simulate the mid-apply window: version bumped, entry still
-        # keyed (with its published snapshot) at the previous version.
+        # Simulate the mid-apply window: version bumped, the slot still
+        # publishing the previous version's pair.
         service.database.version += 1
         service._absorbing = True
         try:
             assert cursor.count == n0      # the pre-batch snapshot
-            assert cursor._pinned is None  # transient: nothing pinned
+            assert cursor.version == service.database.version - 1
         finally:
             service._absorbing = False
         # Once the writer finishes, the very next read serves fresh data.
         service.insert("R", (901, 0))
         assert cursor.count == n0 + 2
+        assert cursor.version == service.database.version
+
+    @pytest.mark.parametrize("on_stale", ["reresolve", "raise"])
+    def test_pinned_then_version_name_one_published_pair(self, on_stale):
+        """``cursor.pinned`` followed by ``cursor.version`` (what every
+        HTTP payload is built from) names the version the view was
+        published for, across a simulated in-flight write."""
+        import threading
+
+        service = QueryService(fresh_db(), dynamic=True)
+        index = service.index(CHAIN)
+        cursor = service.cursor(CHAIN, on_stale=on_stale)
+        views = {cursor.version: cursor.pinned}
+        # The write, frozen between Database.apply and the slot walk:
+        # version bumped, index patched, nothing republished yet.
+        delta = [("insert", "R", (902, 0))]
+        service._absorbing = True
+        effective = service.database.apply(delta).effective
+        if on_stale == "raise":
+            with pytest.raises(StaleCursorError):
+                cursor.pinned  # bound to the pre-batch version: stale
+            cursor.refresh()   # bound to the in-flight version
+            publish = threading.Timer(0.05, self._finish_write,
+                                      (service, effective))
+            publish.start()
+            view = cursor.pinned  # waits for the publication
+            publish.join()
+        else:
+            view = cursor.pinned  # wait-free: the last published pair
+            assert view is views[cursor.version]
+            self._finish_write(service, effective)
+            view = cursor.pinned
+        assert cursor.version == service.database.version
+        assert view is index.snapshot and view is not views[cursor.version - 1]
+        assert view.count == views[cursor.version - 1].count + 2
+
+    @staticmethod
+    def _finish_write(service, effective):
+        service._absorb_delta(effective)
+        service._absorbing = False
+
+    def test_services_sharing_a_cache_keep_one_slot_per_database(self):
+        """The cache key is ``(database, query key)``: two services over
+        different databases sharing one IndexCache never serve — or patch
+        — each other's slot for the same query text."""
+        cache = IndexCache(capacity=4)
+        small, big = fresh_db(), fresh_db()
+        big.insert("R", (903, 0))
+        one = QueryService(small, cache=cache, dynamic=True)
+        two = QueryService(big, cache=cache, dynamic=True)
+        assert (one.count(CHAIN), two.count(CHAIN)) == (18, 20)
+        assert len(cache) == 2
+        one.insert("R", (904, 1))
+        assert (one.count(CHAIN), two.count(CHAIN)) == (20, 20)
+        assert two.cursor(CHAIN).version == big.version
+        assert (one.stats().in_place_updates, two.stats().in_place_updates) == (1, 0)
 
     def test_cold_resolve_waits_out_an_in_flight_apply(self):
         """A cold build must not run concurrently with a writer's apply:
@@ -264,31 +321,6 @@ class TestServiceSnapshotReads:
         before = service.count(CHAIN)
         db.insert("R", (900, 0))  # out-of-band: bypasses the service
         assert service.count(CHAIN) == before + 2
-
-    def test_foreign_update_capable_entry_falls_back_to_locked_reads(self):
-        """Duck-typed entries that claim supports_updates but publish no
-        snapshot still get coherent (locked) reads — and the fallback is
-        visible in stats.locked_reads."""
-
-        class ForeignIndex:
-            supports_updates = True
-            count = 1
-
-            def access(self, position):
-                return ("foreign",)
-
-        service = QueryService(fresh_db())
-        query = service.resolve(CHAIN)
-        key = (service.database, service.database.version,
-               canonical_query_key(query))
-        service._cache.get_or_build(key, ForeignIndex)
-        assert service.get(CHAIN, 0) == ("foreign",)
-        stats = service.stats()
-        assert stats.locked_reads == 1
-        assert stats.snapshot_reads == 0
-        # No immutable view of a snapshot-less entry exists to hand out.
-        with pytest.raises(TypeError):
-            service.cursor(CHAIN).pinned
 
 
 class TestDeltaAwarePromotionCredit:

@@ -266,23 +266,12 @@ class TestTombstoneCompaction:
 
 
 class TestWriteSafety:
-    def test_lock_follows_entry_across_rekey(self):
-        from repro.service.cache import IndexCache
-
-        cache = IndexCache(capacity=4)
-        cache.get_or_build("k1", lambda: "entry")
-        lock = cache.lock_for("k1")
-        cache.rekey("k1", "k2")
-        assert cache.lock_for("k2") is lock
-        cache.discard("k2")
-        assert cache.lock_for("k2") is not lock  # fresh after discard
-
     def test_concurrent_readers_and_writer_do_not_corrupt(self):
         """Single-writer smoke test: a writer hammers insert/delete while
-        readers page through the same dynamic entry. Without the per-entry
-        lock, readers can observe a half-propagated weight update and
-        crash inside the descent; with it, every batch is a coherent
-        snapshot."""
+        readers page through the same dynamic entry. Reading the live
+        index, readers could observe a half-propagated weight update and
+        crash inside the descent; reading the published snapshot, every
+        batch is coherent."""
         service = QueryService(fresh_db(), dynamic=True)
         query = "Q(a, b, c) :- R(a, b), S(b, c)"
         service.count(query)  # warm the dynamic entry
@@ -302,9 +291,9 @@ class TestWriteSafety:
         def reader():
             try:
                 while not stop.is_set():
-                    # page() clamps to the count inside the entry lock, so
-                    # a write landing mid-read shortens the page instead
-                    # of raising out-of-bound.
+                    # page() clamps to the count of the same pinned
+                    # snapshot it reads, so a write landing mid-read
+                    # cannot turn the page into an out-of-bound request.
                     page = service.page(query, 0, page_size=10)
                     assert len(page) <= 10
             except Exception as exc:  # pragma: no cover - the failure mode
