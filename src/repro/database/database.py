@@ -5,25 +5,88 @@ instances. It also hosts *derived relations* — selections registered under a
 new name, the mechanism by which the paper's UCQ experiments form queries
 "using different relations (formed by different selections applied on the
 same initial relations)".
+
+A database's state is one published reference — an immutable
+``(version, relations)`` pair, replaced whole by every mutation — and only
+this module knows how it is published; whatever needs one consistent
+version reads one :meth:`Database.pin`.
 """
 
 from __future__ import annotations
 
 import uuid
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Union
 
 from repro.database.delta import AppliedDelta, Delta
 from repro.database.relation import Relation, RelationError
 from repro.errors import ReproError
 
 
-class Database:
-    """A mutable mapping of relation symbols to relations.
+class DatabaseVersion:
+    """One version of one database, readable: identity, version number
+    and relations behind the read surface every consumer uses.
+
+    A bare instance — what :meth:`pin` returns — never changes, so
+    whatever only reads (index constructors, checkpoint writers) runs on
+    it exactly as on the :class:`Database`, which inherits this surface
+    and adds the writers. ``relations`` (name → relation) must not be
+    mutated once handed over.
+    """
+
+    def __init__(
+        self, instance_id: str, version: int, relations: Mapping[str, Relation]
+    ):
+        self.instance_id = instance_id
+        # The one published reference: every read below is one load of it.
+        self._published = (version, relations)
+
+    @property
+    def version(self) -> int:
+        return self._published[0]
+
+    def pin(self) -> "DatabaseVersion":
+        """The current version as a view that later writes leave alone."""
+        return DatabaseVersion(self.instance_id, *self._published)
+
+    def relation(self, name: str) -> Relation:
+        try:
+            return self._published[1][name]
+        except KeyError:
+            raise RelationError(f"database has no relation {name!r}") from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._published[1]
+
+    def __iter__(self):
+        return iter(self._published[1].values())
+
+    def names(self) -> List[str]:
+        return list(self._published[1])
+
+    def size(self) -> int:
+        """Total number of facts — the paper's input size ``|D|``."""
+        return sum(len(r) for r in self)
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{r.name}[{len(r)}]" for r in self)
+        return f"{type(self).__name__}({parts})"
+
+
+class Database(DatabaseVersion):
+    """Named relations behind one published ``(version, relations)`` pair.
 
     Every mutation — registering, replacing, inserting into, or deleting
-    from a relation — bumps :attr:`version`, a monotone counter that lets
-    derived structures (notably :class:`repro.service.IndexCache`) detect
-    staleness in O(1) without fingerprinting the data.
+    from a relation — publishes a successor pair, built aside and swapped
+    in whole, whose :attr:`version` is one higher: a monotone counter that
+    lets derived structures (notably :class:`repro.service.IndexCache`)
+    detect staleness in O(1) without fingerprinting the data. One load of
+    the pair is a version number *and* the relations it names;
+    :meth:`pin` hands it out to reads that span several calls.
+
+    ``relations`` is an iterable of relations to register in a fresh
+    database — or a bare :class:`DatabaseVersion`, which the new database
+    *resumes*: same identity, version and relations (how recovery
+    rebuilds a stored database).
 
     Identity and durability
     -----------------------
@@ -36,32 +99,47 @@ class Database:
     with the instance id and refuse to replay against any other database.
 
     :meth:`bind_log` attaches a write-ahead log: every applied batch is
-    appended — durably — *before* the version bump becomes observable,
-    so any version a reader ever saw can be recovered. Fact operations
+    appended — durably — *before* its version is published, so any
+    version a reader ever saw can be recovered. Fact operations
     (:meth:`insert` / :meth:`delete` / :meth:`apply`) are logged; schema
     operations (:meth:`add` / :meth:`replace` / :meth:`derive`) are not —
     checkpoint after changing the schema.
     """
 
-    def __init__(self, relations: Iterable[Relation] = ()):
-        self._relations: Dict[str, Relation] = {}
-        self.version = 0
-        self.instance_id = uuid.uuid4().hex
+    def __init__(
+        self, relations: Union[Iterable[Relation], DatabaseVersion] = ()
+    ):
         self._log = None
-        for relation in relations:
-            self.add(relation)
+        if type(relations) is DatabaseVersion:
+            super().__init__(relations.instance_id, *relations._published)
+        else:
+            super().__init__(uuid.uuid4().hex, 0, {})
+            for relation in relations:
+                self.add(relation)
+
+    @DatabaseVersion.version.setter
+    def version(self, value: int) -> None:
+        # WAL replay resyncing to a recorded version; out-of-band bumps.
+        self._published = (value, self._published[1])
+
+    def _publish(
+        self, pinned: DatabaseVersion, changed: Mapping[str, Relation]
+    ) -> None:
+        """Publish the successor of ``pinned``: ``changed`` registered over
+        its relations (a replaced one keeps its position), one version up."""
+        version, relations = pinned._published
+        self._published = (version + 1, {**relations, **changed})
 
     def add(self, relation: Relation) -> None:
         """Register a relation under its own name (overwrite not allowed)."""
-        if relation.name in self._relations:
+        pinned = self.pin()
+        if relation.name in pinned:
             raise RelationError(f"relation {relation.name!r} already present")
-        self._relations[relation.name] = relation
-        self.version += 1
+        self._publish(pinned, {relation.name: relation})
 
     def replace(self, relation: Relation) -> None:
         """Register or overwrite a relation under its own name."""
-        self._relations[relation.name] = relation
-        self.version += 1
+        self._publish(self.pin(), {relation.name: relation})
 
     def insert(self, name: str, row: tuple) -> bool:
         """Insert a fact into relation ``name`` (set semantics).
@@ -113,16 +191,17 @@ class Database:
 
         Returns an :class:`~repro.database.delta.AppliedDelta` carrying
         the effective sub-delta (what actually changed — exactly what
-        dynamic indexes must absorb) and per-relation applied/no-op
-        counts. :attr:`version` bumps by exactly one when anything
-        changed, and not at all otherwise.
+        dynamic indexes must absorb), per-relation applied/no-op counts,
+        and the version the batch produced. :attr:`version` bumps by
+        exactly one when anything changed, and not at all otherwise.
         """
         # Always re-validate through a freshly bound Delta — raw iterables,
         # deltas bound to another database, and deltas recorded before a
         # schema change (replace()) alike: apply-time arity is what the
         # unchecked Relation.copy_from below relies on. Re-normalizing an
         # already normalized delta is O(|delta|) and order-preserving.
-        delta = Delta(delta, database=self)
+        pinned = self.pin()
+        delta = Delta(delta, database=pinned)
         per_relation: Dict[str, List] = {}
         for op, relation, row in delta:
             per_relation.setdefault(relation, []).append((op, row))
@@ -131,7 +210,7 @@ class Database:
         by_relation: Dict[str, Dict[str, int]] = {}
         changed_relations: Dict[str, List[tuple]] = {}
         for name, ops in per_relation.items():
-            relation = self.relation(name)
+            relation = pinned.relation(name)
             present = set(relation.rows)
             counts = by_relation[name] = {
                 "inserted": 0, "deleted": 0, "noop_inserts": 0, "noop_deletes": 0,
@@ -162,18 +241,19 @@ class Database:
                 )
                 rows.extend(appended)
                 changed_relations[name] = rows
-        if changed_relations and self._log is not None:
+        if not changed_relations:
+            return AppliedDelta(effective, by_relation, pinned.version)
+        if self._log is not None:
             # Write-ahead: the effective batch is durable (appended,
-            # flushed, fsynced) before any relation is swapped in or the
-            # version bump becomes observable. If the append raises, the
-            # database is untouched and the caller sees the error.
-            self._log.append(self.version + 1, effective)
-        for name, rows in changed_relations.items():
-            relation = self._relations[name]
-            self._relations[name] = Relation.copy_from(name, relation.columns, rows)
-        if changed_relations:
-            self.version += 1
-        return AppliedDelta(effective, by_relation)
+            # flushed, fsynced) before the version it produces is
+            # published. If the append raises, the database is untouched
+            # and the caller sees the error.
+            self._log.append(pinned.version + 1, effective)
+        self._publish(pinned, {
+            name: Relation.copy_from(name, pinned.relation(name).columns, rows)
+            for name, rows in changed_relations.items()
+        })
+        return AppliedDelta(effective, by_relation, pinned.version + 1)
 
     # ------------------------------------------------------------------ #
     # Durability                                                          #
@@ -216,25 +296,6 @@ class Database:
         database, __report = DurableStore(directory).recover()
         return database
 
-    def relation(self, name: str) -> Relation:
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise RelationError(f"database has no relation {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations
-
-    def __iter__(self):
-        return iter(self._relations.values())
-
-    def names(self) -> List[str]:
-        return list(self._relations)
-
-    def size(self) -> int:
-        """Total number of facts — the paper's input size ``|D|``."""
-        return sum(len(r) for r in self._relations.values())
-
     def derive(
         self,
         source: str,
@@ -247,11 +308,11 @@ class Database:
         (derivations are idempotent by name), which lets query modules call
         ``derive`` unconditionally.
         """
-        if name in self._relations:
-            return self._relations[name]
-        derived = self.relation(source).select(predicate, name=name)
-        self._relations[name] = derived
-        self.version += 1
+        pinned = self.pin()
+        if name in pinned:
+            return pinned.relation(name)
+        derived = pinned.relation(source).select(predicate, name=name)
+        self._publish(pinned, {name: derived})
         return derived
 
     def copy(self) -> "Database":
@@ -263,11 +324,4 @@ class Database:
         numbers, so it must not append to — or ever be replayed from —
         the original's durable history.
         """
-        clone = Database()
-        clone._relations = dict(self._relations)
-        clone.version = self.version
-        return clone
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{r.name}[{len(r)}]" for r in self._relations.values())
-        return f"Database({parts})"
+        return Database(DatabaseVersion(uuid.uuid4().hex, *self._published))

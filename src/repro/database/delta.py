@@ -178,13 +178,20 @@ class AppliedDelta:
     no-ops (re-inserting a present fact, deleting an absent one) are
     dropped from it but tallied per relation in ``by_relation`` as
     ``{"inserted", "deleted", "noop_inserts", "noop_deletes"}`` counts.
+    ``version`` is the version the batch produced (unchanged if no-op).
     """
 
-    __slots__ = ("effective", "by_relation")
+    __slots__ = ("effective", "by_relation", "version")
 
-    def __init__(self, effective: Delta, by_relation: Dict[str, Dict[str, int]]):
+    def __init__(
+        self,
+        effective: Delta,
+        by_relation: Dict[str, Dict[str, int]],
+        version: int,
+    ):
         self.effective = effective
         self.by_relation = by_relation
+        self.version = version
 
     @property
     def changed(self) -> bool:

@@ -47,11 +47,13 @@ Writes and durability
 ---------------------
 ``POST /ingest`` validates the **whole** JSONL body first (line-numbered
 ``400`` on the first bad line, nothing applied), then applies it as one
-:class:`~repro.database.delta.Delta` — one version bump, one cache walk —
-serialized behind the app's single-writer lock. With a durable service
+:class:`~repro.database.delta.Delta` — one version bump, one cache walk.
+The app holds no lock of its own: ingests and checkpoints serialize on
+the service's write lock, and an ingest reports the version *its* batch
+produced (:attr:`AppliedDelta.version`). With a durable service
 (``storage=`` bound or :func:`create_app` given a store directory), the
-batch is WAL-appended and fsynced *before* its version bump is
-observable, so an acknowledged ingest survives a crash; the response says
+batch is WAL-appended and fsynced *before* its version is published, so
+an acknowledged ingest survives a crash; the response says
 ``"durable": true`` exactly then.
 """
 
@@ -63,7 +65,6 @@ import json
 import math
 import pathlib
 import random
-import threading
 import urllib.parse
 from typing import List, Optional, Tuple
 
@@ -164,9 +165,6 @@ class ReproApp:
         )
         #: Registered canonical id → resolved query object.
         self.queries = {}
-        # The service's write path is single-writer: ingest/checkpoint
-        # requests serialize here (reads stay wait-free, as ever).
-        self._write_lock = threading.Lock()
         self._requests = 0
         self._ingest_batches = 0
         self._ingest_ops = 0
@@ -407,7 +405,8 @@ class ReproApp:
     # ------------------------------------------------------------------ #
 
     def handle_healthz(self):
-        database = self.service.database
+        # One pin: every version-bearing field below names one version.
+        database = self.service.database.pin()
         durable = self.service.storage is not None
         degraded = self.service.degraded
         payload = {
@@ -715,14 +714,12 @@ class ReproApp:
             raise HttpError(400, f"ingest body must be UTF-8 JSONL ({error})")
         if not text.strip():
             raise HttpError(400, "empty ingest body (expected JSONL delta ops)")
-        with self._write_lock:
-            # Validate-all-first *inside* the write lock: the schema
-            # check and the apply see the same database state.
-            delta = delta_from_jsonl(
-                text.splitlines(), database=self.service.database
-            )
-            result = self.service.apply(delta)
-            version = self.service.database.version
+        # Validate-all-first, for the line-numbered 400; the apply itself
+        # re-validates against the version it writes to.
+        delta = delta_from_jsonl(
+            text.splitlines(), database=self.service.database
+        )
+        result = self.service.apply(delta)
         self._ingest_batches += 1
         self._ingest_ops += len(delta)
         return 200, {
@@ -731,7 +728,7 @@ class ReproApp:
             "deleted": result.deleted,
             "noops": result.noops,
             "changed": result.changed,
-            "version": version,
+            "version": result.version,
             "durable": self.service.storage is not None,
             "by_relation": result.by_relation,
         }
@@ -740,8 +737,7 @@ class ReproApp:
         from repro.storage.store import StorageError
 
         try:
-            with self._write_lock:
-                path = self.service.checkpoint()
+            path = self.service.checkpoint()
         except StorageError as error:
             raise HttpError(409, f"cannot checkpoint: {error}")
         manifest = self.service.storage.last_manifest or {}

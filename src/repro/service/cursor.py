@@ -33,7 +33,8 @@ When a read finds the database has moved past the pinned version, the
   across mutations. A read that lands while a writer is mid-``apply``
   stays wait-free: it serves the last published (pre-batch) pair and
   reports that pair's version, then picks up the new pair on the first
-  read after publication.
+  read after publication. A read that finds no slot does not wait
+  either: it builds from one pinned database version and reports that.
 * ``"raise"`` — the read raises :class:`StaleCursorError` instead, for
   callers that need a consistent position space across reads (for
   example, a pager that must not shift rows between two page fetches).

@@ -30,8 +30,9 @@ key)`` — the live index plus the ``(version, view)`` pair readers serve:
 
 Mutation path
 -------------
-A mutation bumps ``database.version`` (a batch bumps it **once**) and then
-walks this database's cache slots:
+A mutation publishes the database's next version (a batch publishes
+**one**, number and relations together — see :mod:`repro.database.database`)
+and then walks this database's cache slots:
 
 * a slot whose query does not reference the mutated relation republishes
   the same view for the new version — the mutation cannot change its
@@ -69,9 +70,12 @@ index publishes at the end of each mutation. The service's read surface —
 cursors and the free-method shims alike — loads that tuple once per pin,
 so a pagination or sampling read proceeds wait-free even while a writer
 is mid-burst, always observes exactly one published version, and reports
-the version its answers were published for. Writers serialize on one
-service-wide lock held across the whole of :meth:`QueryService.apply`, so
-two concurrent ``apply`` calls cannot interleave. Lazy streams
+the version its answers were published for. Writers — ``apply`` and
+``checkpoint`` alike — serialize on one service-wide lock held across the
+whole call, so two writes cannot interleave and the write-ahead log is
+never trimmed under an append. A cache miss takes no lock either: it
+builds from one pinned database version and publishes the build under
+that version's number. Lazy streams
 (``random_order``, iteration, ``online_mean``) are served from a pinned
 view too, so consuming one across concurrent writes is safe — the stream
 simply keeps enumerating the version it pinned.
@@ -390,14 +394,12 @@ class QueryService:
             name: {"static_builds": 0, "dynamic_builds": 0, "snapshot_reads": 0}
             for name in flat_store.VALID_STORES
         }
-        # Held across the whole of apply(): one writer at a time, so a
-        # slot is only ever patched and republished by one thread.
+        # Held across the whole of apply() and of checkpoint(): one writer
+        # at a time, so a slot is only ever patched and republished by one
+        # thread and the WAL is never trimmed under an append. While it is
+        # held, a slot that trails database.version is the last published
+        # version, not a stale one.
         self._write_lock = threading.Lock()
-        # True exactly while apply() is in flight (version bump and slot
-        # walk included): the window in which a slot that trails
-        # database.version is the last published version, not a stale
-        # one, and in which nothing may be built.
-        self._absorbing = False
         # Canonical query key → {"single_fact", "batched", "batched_ops"}:
         # how each entry's in-place maintenance split between one-fact
         # and larger batches (see update_profile()).
@@ -484,46 +486,38 @@ class QueryService:
         A reader takes ``slot.published`` from the result — one load of
         one ``(version, view)`` tuple — and reports the pair's own
         version. A pair at ``database.version`` is current. One that
-        trails it while this service's writer is mid-``apply`` is the
-        last published version: readers proceed on it during a write
-        burst instead of paying a rebuild inside the read path. One that
+        trails it while a writer holds the write lock is the last
+        published version: readers proceed on it during a write burst
+        instead of paying a rebuild inside the read path. One that
         trails with **no** writer in flight went stale through an
         out-of-band mutation the service never saw — unless the writer
         republished it between this method's loads, which a second load
         tells apart — and is discarded and rebuilt.
 
-        A miss builds *outside* the cache and re-validates around the
-        build: a build that overlaps a concurrent ``apply`` may read
-        relation states no single version ever equaled — either torn
-        across two version swaps, or post-swap data read in the sliver
-        where ``Database.apply`` has replaced relations but not yet
-        bumped the version (the ``_absorbing`` flag brackets that whole
-        window). Such a build is thrown away and retried rather than
-        cached, where the writer's next walk would patch it as if it
-        matched its version — double-applying the in-flight delta.
+        A miss pins one database version, builds from the pin and labels
+        the slot with the pin's version, so a build that overlaps a
+        concurrent ``apply`` is still a build of exactly one version —
+        the pre-batch one, which the writer's walk patches forward like
+        any other slot, or the post-batch one, which it leaves alone.
         """
         database = self._database
         key = (database, query_key)
-        while True:
-            slot = self._cache.get(key)
-            if slot is not None:
-                published = slot.published
-                if published[0] == database.version or self._absorbing:
-                    return slot
-                if slot.published is published and self._cache.peek(key) is slot:
-                    self._cache.discard(key)
-            elif self._absorbing:
-                # A writer is mid-apply (only observable from another
-                # thread): any index built now is doomed to the discard
-                # below — wait the write out instead of building it.
-                time.sleep(0.0005)
-            else:
-                version = database.version
-                built = self._build(query, query_key)
-                if not self._absorbing and database.version == version:
-                    return self._cache.get_or_build(
-                        key, lambda: Slot(built, version)
-                    )
+        slot = self._cache.get(key)
+        if slot is not None:
+            published = slot.published
+            if (
+                published[0] == database.version
+                or self._write_lock.locked()
+                or slot.published is not published
+            ):
+                return slot
+            if self._cache.peek(key) is slot:
+                self._cache.discard(key)
+        pinned = database.pin()
+        built = self._build(query, query_key, pinned)
+        return self._cache.get_or_build(
+            key, lambda: Slot(built, pinned.version)
+        )
 
     def _count_snapshot_read(self, entry) -> None:
         """One wait-free read served by ``entry`` (global + per-backend)."""
@@ -532,15 +526,15 @@ class QueryService:
             "snapshot_reads"
         ] += 1
 
-    def _build(self, query, query_key):
+    def _build(self, query, query_key, database):
         dynamic = self._serve_dynamically(query, query_key)
         store = self._store
         if isinstance(query, UnionOfConjunctiveQueries):
-            built = MCUCQIndex(query, self._database, dynamic=dynamic, store=store)
+            built = MCUCQIndex(query, database, dynamic=dynamic, store=store)
         elif dynamic:
-            built = DynamicCQIndex(query, self._database, store=store)
+            built = DynamicCQIndex(query, database, store=store)
         else:
-            built = CQIndex(query, self._database, store=store)
+            built = CQIndex(query, database, store=store)
         # Count only builds that actually completed — a constructor that
         # raises (e.g. a shape-misaligned union) must not inflate stats.
         # The backend split reads the index's own ``store``: a flat build
@@ -740,7 +734,8 @@ class QueryService:
         need ``promote_after`` separate mutations.
 
         Returns the :class:`~repro.database.delta.AppliedDelta` with the
-        effective sub-delta and per-relation applied/no-op counts.
+        effective sub-delta, per-relation applied/no-op counts, and the
+        ``version`` this batch produced.
 
         Fault tolerance: when the durable append inside
         :meth:`Database.apply` fails with an :class:`OSError` (the WAL's
@@ -757,20 +752,12 @@ class QueryService:
             delta = Delta(delta, database=self._database)
         with self._write_lock:
             self._check_write_path()
-            # The flag spans the whole write (version bump included), so
-            # a concurrent read that lands before the slots are
-            # republished serves the last published pair instead of
-            # paying a rebuild.
-            self._absorbing = True
             try:
-                try:
-                    result = self._database.apply(delta)
-                except OSError as error:
-                    raise self._enter_degraded(error) from error
-                if result.changed:
-                    self._absorb_delta(result.effective)
-            finally:
-                self._absorbing = False
+                result = self._database.apply(delta)
+            except OSError as error:
+                raise self._enter_degraded(error) from error
+            if result.changed:
+                self._absorb_delta(result)
             if self._degraded_reason is not None:
                 self._exit_degraded()
         return result
@@ -867,7 +854,7 @@ class QueryService:
         """
         return Transaction(self)
 
-    def _absorb_delta(self, effective: Delta) -> None:
+    def _absorb_delta(self, applied: AppliedDelta) -> None:
         """Carry this database's cache slots across one applied batch
         (called under the write lock). For slots published at the
         pre-batch version:
@@ -882,19 +869,25 @@ class QueryService:
           query key's churn counter bumped — the promotion pressure that
           eventually flips a hot query to the dynamic path.
 
-        Slots at older versions went stale through an out-of-band
-        mutation the service never saw; they cannot be patched and are
-        dropped (without churn credit — that was not write pressure on
-        the query).
+        A slot already at the batch's own version is a cold build that
+        pinned the post-batch database mid-write: it holds the batch and
+        is left alone. Slots at any other version went stale through an
+        out-of-band mutation the service never saw; they cannot be
+        patched and are dropped (without churn credit — that was not
+        write pressure on the query).
         """
         database = self._database
-        new_version = database.version
+        effective = applied.effective
+        new_version = applied.version
         touched = effective.relations()
         single = len(effective) == 1
         for query_key, slot in self._slots():
+            version = slot.published[0]
+            if version == new_version:
+                continue
             # Database.apply bumps the version by exactly one per batch,
             # so a current slot sits at new_version - 1.
-            if slot.published[0] != new_version - 1:
+            if version != new_version - 1:
                 self._cache.discard((database, query_key))
                 continue
             referenced = _relations_in_key(query_key)
@@ -945,9 +938,11 @@ class QueryService:
     ):
         """Write an atomic checkpoint through the bound store.
 
-        Serializes every relation plus the version (and instance id), and
+        A writer like :meth:`apply`, under the same lock: pins one
+        database version and serializes that pin — every relation plus
+        the version (and instance id), and
         — with ``include_serve_state`` — this service's cached indexes at
-        the current version, so a recovered service reaches its first
+        the pinned version, so a recovered service reaches its first
         served answer without an O(|D|) rebuild: flat-backed static
         entries as columnar ``serve-flat/`` blobs (mmap-and-go recovery;
         ``serve_format="pickle"`` forces the legacy path), the rest
@@ -965,19 +960,22 @@ class QueryService:
                 "this service has no bound storage; construct it with "
                 "storage=<directory> (or recover() one)"
             )
-        serve_state = self._serve_state() if include_serve_state else None
-        path = self._storage.checkpoint(
-            self._database, serve_state, keep=keep, serve_format=serve_format
-        )
-        manifest = self._storage.last_manifest or {}
-        self._checkpoint_skipped += manifest.get("skipped_entries", 0)
+        with self._write_lock:
+            pinned = self._database.pin()
+            serve_state = (
+                self._serve_state(pinned.version) if include_serve_state else None
+            )
+            path = self._storage.checkpoint(
+                pinned, serve_state, keep=keep, serve_format=serve_format
+            )
+            manifest = self._storage.last_manifest or {}
+            self._checkpoint_skipped += manifest.get("skipped_entries", 0)
         return path
 
-    def _serve_state(self) -> List[tuple]:
+    def _serve_state(self, version: int) -> List[tuple]:
         """``(query key, index)`` pairs for this database's slots
-        published at the current version — what a checkpoint preserves of
-        the warm cache."""
-        version = self._database.version
+        published at ``version`` — what a checkpoint of that version
+        preserves of the warm cache."""
         return [
             (query_key, slot.index)
             for query_key, slot in self._slots()

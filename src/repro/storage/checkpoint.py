@@ -128,12 +128,17 @@ def write_checkpoint(
     unpicklable resources simply rebuilds on recovery); the relations
     themselves must pickle, or this raises :class:`CheckpointError` with
     nothing published.
+
+    ``database`` is pinned once: directory name, payload and manifest all
+    describe that one version. ``serve_state`` must be of the same one —
+    pass the pin it was selected against.
     """
     if serve_format not in SERVE_FORMATS:
         raise ValueError(
             f"unknown serve_format {serve_format!r}; "
             f"expected one of {SERVE_FORMATS}"
         )
+    database = database.pin()
     root = checkpoint_root(directory)
     root.mkdir(parents=True, exist_ok=True)
     final = root / f"{_DIR_PREFIX}{database.version:012d}"

@@ -175,13 +175,14 @@ class DurableStore:
                 )
             self._adopt_wal(wal)
         else:
-            self._publish_checkpoint(self.directory, database)
+            pinned = database.pin()  # checkpoint and WAL base: one version
+            self._publish_checkpoint(self.directory, pinned)
             self.checkpoints_written += 1
             self._adopt_wal(
                 WriteAheadLog.open(
                     self.wal_path,
-                    instance_id=database.instance_id,
-                    base_version=database.version,
+                    instance_id=pinned.instance_id,
+                    base_version=pinned.version,
                 )
             )
         database.bind_log(self.wal)
@@ -205,8 +206,11 @@ class DurableStore:
         from total write history. ``serve_format`` selects how built
         indexes persist: ``"blob"`` (columnar ``serve-flat/`` npy slabs
         for flat entries, mmap-and-go on recovery) or ``"pickle"``
-        (legacy, everything pickled).
+        (legacy, everything pickled). Checkpoint and trim are of one
+        pinned version; trimming rewrites the log, so the caller must hold
+        off concurrent appends (:meth:`QueryService.checkpoint` does).
         """
+        database = database.pin()
         if self.wal is not None and database.instance_id != self.wal.instance_id:
             raise StorageError(
                 f"checkpoint of database instance {database.instance_id!r} "
@@ -239,7 +243,7 @@ class DurableStore:
         loading the base and replaying the tail; most callers want
         :meth:`recover`.
         """
-        from repro.database.database import Database
+        from repro.database.database import Database, DatabaseVersion
         from repro.database.relation import Relation
 
         ckpt = latest_checkpoint(self.directory)
@@ -261,11 +265,13 @@ class DurableStore:
                 instance_id=ckpt.instance_id,
                 base_version=ckpt.version,
             )
-        database = Database()
-        for name, columns, rows in ckpt.relations:
-            database._relations[name] = Relation.copy_from(name, columns, rows)
-        database.version = ckpt.version
-        database.instance_id = ckpt.instance_id
+        relations = {
+            name: Relation.copy_from(name, columns, rows)
+            for name, columns, rows in ckpt.relations
+        }
+        database = Database(
+            DatabaseVersion(ckpt.instance_id, ckpt.version, relations)
+        )
         self._adopt_wal(wal)
         self.last_manifest = ckpt.manifest
         return database, ckpt, wal

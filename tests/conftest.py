@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import pytest
 
 from repro import Database, Relation
@@ -53,3 +56,51 @@ def tiny_tpch() -> Database:
     """
     db = generate(TPCHConfig(scale_factor=0.002, seed=9))
     return attach_derived_relations(db)
+
+
+@pytest.fixture()
+def frozen_write():
+    """``with frozen_write(service, ops) as release:`` — a real write,
+    frozen in flight.
+
+    Runs ``service.apply(ops)`` on a writer thread and parks it right
+    after ``Database.apply`` returned: the service's write lock is held,
+    the database has published the batch's version, and no cache slot has
+    been patched or republished yet. Leaving the block (or setting
+    ``release`` earlier) lets the writer finish; the block joins it and
+    re-raises whatever it raised.
+    """
+
+    @contextlib.contextmanager
+    def freeze(service, ops):
+        database = service.database
+        parked, release = threading.Event(), threading.Event()
+        outcome = []
+
+        def apply_then_park(delta):
+            result = Database.apply(database, delta)
+            parked.set()
+            assert release.wait(10), "the frozen writer was never released"
+            return result
+
+        def write():
+            try:
+                outcome.append(service.apply(ops))
+            except BaseException as error:
+                outcome.append(error)
+
+        database.apply = apply_then_park
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert parked.wait(10), "the writer never reached Database.apply"
+            yield release
+        finally:
+            release.set()
+            writer.join(10)
+            del database.apply
+        assert not writer.is_alive()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+
+    return freeze

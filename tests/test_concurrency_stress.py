@@ -12,9 +12,12 @@ storm is a few thousand reads over a small database.
 """
 
 import random
+import sys
 import threading
+import time
 
 from repro import Database, QueryService, Relation
+from repro.service.cache import IndexCache, canonical_query_key
 
 QUERY = "Q(a, b, c) :- R(a, b), S(b, c)"
 
@@ -30,7 +33,7 @@ def generation_rows(generation):
     return [(generation * GEN_STRIDE + i, i % KEYS) for i in range(N_PER_GEN)]
 
 
-def build_service():
+def build_service(**kwargs):
     db = Database([
         Relation("R", ("a", "b"), generation_rows(0)),
         Relation(
@@ -38,7 +41,16 @@ def build_service():
             [(j, k) for j in range(KEYS) for k in range(PARTNERS)],
         ),
     ])
-    return QueryService(db, dynamic=True)
+    return QueryService(db, dynamic=True, **kwargs)
+
+
+def swap_generation(service, generation):
+    """One ``Delta``, one version: generation - 1 out, generation in."""
+    with service.transaction() as txn:
+        for row in generation_rows(generation - 1):
+            txn.delete("R", row)
+        for row in generation_rows(generation):
+            txn.insert("R", row)
 
 
 def test_every_read_observes_exactly_one_published_version():
@@ -62,11 +74,7 @@ def test_every_read_observes_exactly_one_published_version():
     def writer():
         try:
             for generation in range(1, GENERATIONS + 1):
-                with service.transaction() as txn:
-                    for row in generation_rows(generation - 1):
-                        txn.delete("R", row)
-                    for row in generation_rows(generation):
-                        txn.insert("R", row)
+                swap_generation(service, generation)
         except Exception as exc:  # pragma: no cover - the failure mode
             errors.append(exc)
         finally:
@@ -157,3 +165,86 @@ def test_every_read_observes_exactly_one_published_version():
     assert stats.dynamic_builds == 1
     assert stats.in_place_updates == 0
     assert stats.snapshot_publishes >= 1
+
+
+def test_cold_builds_under_churn_are_labelled_with_the_version_they_read():
+    """Readers that throw their slot away before every read, so each read
+    is a cold build racing the writer: a build pins one database version,
+    so whatever it overlaps — before the batch is published, between
+    publication and the writer's walk, mid-walk — the answers it serves
+    are one generation, and the generation of the version it reports."""
+    cache = IndexCache()
+    service = build_service(cache=cache)
+    database = service.database
+    base_version = database.version
+    # The same answers under three spellings: one slot per reader.
+    queries = [
+        f"Q({a}, {b}, {c}) :- R({a}, {b}), S({b}, {c})"
+        for a, b, c in ("abc", "xyz", "uvw")
+    ]
+    errors = []
+    done = threading.Event()
+    served_at = {}
+    started = []  # one element per cold read begun
+
+    def writer():
+        try:
+            for generation in range(1, GENERATIONS + 1):
+                # Pace the swaps on the readers, so that cold builds keep
+                # landing between (and inside) them instead of after.
+                seen = len(started)
+                while len(started) == seen and not errors:
+                    time.sleep(0)
+                swap_generation(service, generation)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def cold_reader(query):
+        key = (database, canonical_query_key(service.resolve(query)))
+        reads = 0
+        try:
+            while not (done.is_set() and reads > 0):
+                cache.discard(key)
+                started.append(query)
+                cursor = service.cursor(query)
+                view = cursor.pinned
+                version = cursor.version
+                answers = view.batch(range(view.count))
+                assert len(answers) == EXPECTED_COUNT, len(answers)
+                generations = {a // GEN_STRIDE for a, __, __ in answers}
+                assert len(generations) == 1, sorted(generations)
+                served_at.setdefault(version, set()).update(generations)
+                reads += 1
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=cold_reader, args=(query,))
+        for query in queries
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(0.0001)  # preempt inside builds and the walk
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in threads)
+    assert served_at
+    assert served_at == {
+        version: {version - base_version} for version in served_at
+    }
+    # Cold builds really did race the writer, not just run after it.
+    assert service.stats().dynamic_builds >= GENERATIONS
+    assert len(served_at) > 1
+    # And the storm settled: every query serves the final generation.
+    for query in queries:
+        final = service.cursor(query)
+        assert final.version == database.version
+        assert {a // GEN_STRIDE for a, __, __ in final.batch(range(final.count))} \
+            == {GENERATIONS}

@@ -134,24 +134,25 @@ class TestCursorStaleness:
         assert cursor.refresh() is cursor
         assert cursor.count == 2
 
-    def test_raise_cursor_opened_mid_write_serves_only_after_publication(self):
+    def test_raise_cursor_opened_mid_write_serves_only_after_publication(
+        self, frozen_write
+    ):
         """A strict cursor bound to the in-flight version must wait for
         that version's publication — never serve the pre-batch view under
         the new version's name."""
         service = QueryService(fresh_db(), dynamic=True)
         before = service.cursor(CHAIN).pinned
         # A write frozen after the version bump, before the slot walk.
-        service._absorbing = True
-        effective = service.database.apply([("insert", "S", (30, 301))]).effective
-        cursor = service.cursor(CHAIN, on_stale="raise")
-        assert cursor.version == service.database.version
-        served = []
-        reader = threading.Thread(target=lambda: served.append(cursor.pinned))
-        reader.start()
-        reader.join(timeout=0.1)
-        assert reader.is_alive() and not served  # nothing published for it yet
-        service._absorb_delta(effective)
-        service._absorbing = False
+        with frozen_write(service, [("insert", "S", (30, 301))]):
+            cursor = service.cursor(CHAIN, on_stale="raise")
+            assert cursor.version == service.database.version
+            served = []
+            reader = threading.Thread(
+                target=lambda: served.append(cursor.pinned)
+            )
+            reader.start()
+            reader.join(timeout=0.1)
+            assert reader.is_alive() and not served  # nothing published yet
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert served[0] is not before

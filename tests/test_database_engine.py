@@ -50,6 +50,65 @@ class TestDatabase:
         assert clone.version == db.version
         assert clone.instance_id != db.instance_id
 
+    def test_pin_is_one_version_that_never_changes(self):
+        db = Database([Relation("R", ("a",), [(1,)])])
+        pinned = db.pin()
+        version = db.version
+        db.insert("R", (2,))
+        db.add(Relation("S", ("a",), [(3,)]))
+        db.version += 5
+        assert (pinned.version, pinned.names(), pinned.size()) == (version, ["R"], 1)
+        assert pinned.relation("R").rows == [(1,)]
+        assert "S" not in pinned and [r.name for r in pinned] == ["R"]
+        assert pinned.instance_id == db.instance_id
+        assert pinned.pin().version == version  # a pin of a pin: the same version
+        with pytest.raises(RelationError):
+            pinned.relation("S")
+
+    def test_a_database_resumes_a_pinned_version(self):
+        db = Database([Relation("R", ("a",), [(1,)])])
+        db.insert("R", (2,))
+        resumed = Database(db.pin())
+        assert resumed.instance_id == db.instance_id
+        assert resumed.version == db.version and resumed.log is None
+        assert resumed.relation("R") is db.relation("R")
+        resumed.insert("R", (3,))  # ... and then goes its own way
+        assert (resumed.version, db.version) == (db.version + 1, db.version)
+        assert (3,) not in db.relation("R").rows
+
+    def test_version_and_relations_are_published_together(self, monkeypatch):
+        """One batch swaps the generation held by *two* relations. While
+        ``apply`` is still building the second relation's successor, the
+        first one's must not be visible yet: a reader at any instant sees
+        one generation in both, under the version number that names it."""
+
+        def rows(generation):
+            return [(generation * 100 + i,) for i in range(5)]
+
+        def observable(view):
+            held = {row[0] // 100 for name in ("R", "S") for row in view.relation(name).rows}
+            return view.version - base, held
+
+        db = Database([Relation("R", ("a",), rows(0)), Relation("S", ("a",), rows(0))])
+        base = db.version
+        seen_mid_apply = []
+        copy_from = Relation.copy_from.__func__
+
+        def observing_copy_from(cls, name, columns, new_rows):
+            # Called once per touched relation, in the middle of apply.
+            seen_mid_apply.extend(observable(view) for view in (db, db.pin(), db.copy()))
+            return copy_from(cls, name, columns, new_rows)
+
+        monkeypatch.setattr(Relation, "copy_from", classmethod(observing_copy_from))
+        applied = db.apply([
+            (op, name, row)
+            for name in ("R", "S")
+            for op, generation in (("delete", 0), ("insert", 1))
+            for row in rows(generation)
+        ])
+        assert seen_mid_apply == [(0, {0})] * 6
+        assert observable(db) == (1, {1}) and applied.version == db.version
+
     def test_delete_wrong_arity_raises(self):
         # Regression: delete() used to silently no-op on a row of the
         # wrong arity (which can never be present) while insert() raised.

@@ -15,6 +15,7 @@ concurrency shape of the stdlib thread-per-connection bridge.
 import json
 import sys
 import threading
+import time
 
 from repro import Database, Relation
 from repro.server import create_app
@@ -141,3 +142,61 @@ def _run_storm():
     sid = final["cursor"]
     last_page = client.get(f"/cursors/{sid}/batch?start=0&stop={ROWS}").json()
     assert generation_of(last_page["answers"]) == {GENERATIONS}
+
+
+def test_concurrent_ingests_report_the_version_their_batch_produced(tmp_path):
+    """Two clients ingest at once; the app holds no lock of its own. Each
+    response's ``"version"`` must be the version *that* batch produced —
+    checked against the write-ahead log, which records every batch under
+    the version it was published as."""
+    batches = 40
+    database = Database([Relation("W", ("client", "seq"), [])])
+    app = create_app(database, storage=tmp_path)
+    client = TestClient(app)
+    acknowledged = {}  # the fact a batch inserted -> the version it reported
+    failures = []
+    apply = app.service.apply
+
+    def preempted_after_apply(delta):
+        # A handler descheduled between its apply and building its
+        # response: the other client's batch lands in the gap.
+        result = apply(delta)
+        time.sleep(0.002)
+        return result
+
+    app.service.apply = preempted_after_apply
+
+    def ingester(name: str):
+        try:
+            for seq in range(batches):
+                op = {"op": "insert", "relation": "W", "row": [name, seq]}
+                response = client.post(
+                    "/ingest", body=(json.dumps(op) + "\n").encode("utf-8")
+                )
+                assert response.status == 200, response.text
+                acknowledged[(name, seq)] = response.json()["version"]
+        except Exception as error:  # pragma: no cover - failure path
+            failures.append(f"ingester({name}): {error!r}")
+
+    threads = [
+        threading.Thread(target=ingester, args=(name,)) for name in ("a", "b")
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(0.0001)  # force frequent preemption
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not failures, failures
+    assert not any(thread.is_alive() for thread in threads)
+    logged = {
+        record.ops[0][2]: record.version
+        for record in app.service.storage.wal.records()
+    }
+    assert len(logged) == 2 * batches
+    assert acknowledged == logged
+    assert client.get("/healthz").json()["version"] == max(logged.values())
+    app.service.storage.wal.close()

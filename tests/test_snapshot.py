@@ -214,7 +214,9 @@ class TestServiceSnapshotReads:
         assert {"snapshot_reads", "locked_reads", "snapshot_publishes"} <= \
             set(stats._asdict())
 
-    def test_mid_apply_read_serves_and_reports_the_last_published_pair(self):
+    def test_mid_apply_read_serves_and_reports_the_last_published_pair(
+        self, frozen_write
+    ):
         """A read landing between the version bump and the slot's
         republication serves the pre-batch snapshot wait-free — and
         reports *that* pair's version, not the in-flight one — then picks
@@ -222,25 +224,22 @@ class TestServiceSnapshotReads:
         service = QueryService(fresh_db(), dynamic=True)
         n0 = service.count(CHAIN)
         cursor = service.cursor(CHAIN)
-        # Simulate the mid-apply window: version bumped, the slot still
+        # The mid-apply window: version published, the slot still
         # publishing the previous version's pair.
-        service.database.version += 1
-        service._absorbing = True
-        try:
+        with frozen_write(service, [("insert", "R", (901, 0))]):
             assert cursor.count == n0      # the pre-batch snapshot
             assert cursor.version == service.database.version - 1
-        finally:
-            service._absorbing = False
         # Once the writer finishes, the very next read serves fresh data.
-        service.insert("R", (901, 0))
         assert cursor.count == n0 + 2
         assert cursor.version == service.database.version
 
     @pytest.mark.parametrize("on_stale", ["reresolve", "raise"])
-    def test_pinned_then_version_name_one_published_pair(self, on_stale):
+    def test_pinned_then_version_name_one_published_pair(
+        self, on_stale, frozen_write
+    ):
         """``cursor.pinned`` followed by ``cursor.version`` (what every
         HTTP payload is built from) names the version the view was
-        published for, across a simulated in-flight write."""
+        published for, across an in-flight write."""
         import threading
 
         service = QueryService(fresh_db(), dynamic=True)
@@ -248,32 +247,24 @@ class TestServiceSnapshotReads:
         cursor = service.cursor(CHAIN, on_stale=on_stale)
         views = {cursor.version: cursor.pinned}
         # The write, frozen between Database.apply and the slot walk:
-        # version bumped, index patched, nothing republished yet.
-        delta = [("insert", "R", (902, 0))]
-        service._absorbing = True
-        effective = service.database.apply(delta).effective
-        if on_stale == "raise":
-            with pytest.raises(StaleCursorError):
-                cursor.pinned  # bound to the pre-batch version: stale
-            cursor.refresh()   # bound to the in-flight version
-            publish = threading.Timer(0.05, self._finish_write,
-                                      (service, effective))
-            publish.start()
-            view = cursor.pinned  # waits for the publication
-            publish.join()
-        else:
-            view = cursor.pinned  # wait-free: the last published pair
-            assert view is views[cursor.version]
-            self._finish_write(service, effective)
+        # version published, nothing patched or republished yet.
+        with frozen_write(service, [("insert", "R", (902, 0))]) as release:
+            if on_stale == "raise":
+                with pytest.raises(StaleCursorError):
+                    cursor.pinned  # bound to the pre-batch version: stale
+                cursor.refresh()   # bound to the in-flight version
+                publish = threading.Timer(0.05, release.set)
+                publish.start()
+                view = cursor.pinned  # waits for the publication
+                publish.join()
+            else:
+                view = cursor.pinned  # wait-free: the last published pair
+                assert view is views[cursor.version]
+        if on_stale == "reresolve":
             view = cursor.pinned
         assert cursor.version == service.database.version
         assert view is index.snapshot and view is not views[cursor.version - 1]
         assert view.count == views[cursor.version - 1].count + 2
-
-    @staticmethod
-    def _finish_write(service, effective):
-        service._absorb_delta(effective)
-        service._absorbing = False
 
     def test_services_sharing_a_cache_keep_one_slot_per_database(self):
         """The cache key is ``(database, query key)``: two services over
@@ -291,25 +282,30 @@ class TestServiceSnapshotReads:
         assert two.cursor(CHAIN).version == big.version
         assert (one.stats().in_place_updates, two.stats().in_place_updates) == (1, 0)
 
-    def test_cold_resolve_waits_out_an_in_flight_apply(self):
-        """A cold build must not run concurrently with a writer's apply:
-        Database.apply swaps relation data before bumping the version, so
-        a build in that sliver would be cached at the pre-batch version
-        and then double-patched by the writer's walk. The resolver waits
-        for the absorb window to close instead."""
-        import threading
-
+    def test_cold_build_mid_write_is_labelled_with_the_version_it_was_built_from(
+        self, frozen_write
+    ):
+        """A cache miss while a write is in flight does not wait the write
+        out: it pins one database version, builds from the pin and is
+        served under the pin's version. The writer's walk then finds the
+        slot already at the batch's version and leaves it alone — neither
+        discarding it nor patching the batch in a second time."""
         service = QueryService(fresh_db(), dynamic=True)
-        service._absorbing = True  # an apply is (simulated to be) in flight
-        timer = threading.Timer(
-            0.05, lambda: setattr(service, "_absorbing", False)
-        )
-        timer.start()
-        try:
-            assert service.count(CHAIN) == 18  # resolved after the window
-        finally:
-            timer.cancel()
-        assert service.stats().dynamic_builds == 1
+        n0 = service.count(CHAIN)  # the warm slot the frozen walk will patch
+        cold = "Q(x, y, z) :- R(x, y), S(y, z)"  # same answers, its own slot
+        with frozen_write(service, [("insert", "R", (905, 0))]):
+            cursor = service.cursor(cold)
+            assert cursor.count == n0 + 2  # served now, from the new version
+            assert cursor.version == service.database.version
+            built = cursor.pinned
+        # The walk has run: the warm slot caught up, the cold one stood.
+        assert service.count(CHAIN) == n0 + 2
+        assert cursor.pinned is built and cursor.count == n0 + 2
+        assert cursor.version == service.database.version
+        stats = service.stats()
+        assert stats.dynamic_builds == 2  # one per query, none repeated
+        assert stats.invalidations == 0
+        assert stats.in_place_updates == 1  # the warm slot only
 
     def test_out_of_band_bump_still_rebuilds_instead_of_serving_stale(self):
         """The mid-apply behind-version read path must not leak into

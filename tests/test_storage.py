@@ -8,6 +8,7 @@ manifests) lives in ``test_recovery_crash.py``.
 
 import math
 import pickle
+import threading
 
 import pytest
 
@@ -492,12 +493,77 @@ class TestServiceDurability:
         assert recovered.count(union) == len(fresh)
         assert recovered.stats().dynamic_builds == 0
 
+    def test_checkpoints_serialize_with_a_concurrent_writer(self, tmp_path):
+        """``QueryService.checkpoint`` is a writer: it runs under the
+        service's write lock, so its WAL trim (close + rewrite) never
+        lands under a concurrent append, each checkpoint is of exactly
+        one version, and recovery lands on the last acknowledged batch."""
+        service = QueryService(make_database(), storage=tmp_path, dynamic=True)
+        service.count(QUERY)  # serve-state for the checkpoints to pickle
+        database = service.database
+
+        def generation_rows(generation):
+            return [(generation * 1000 + i, 10 + 10 * (i % 2)) for i in range(6)]
+
+        # version -> the R rows that version holds (one generation each).
+        model = {database.version: sorted(database.relation("R").rows)}
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            previous = database.relation("R").rows
+            generation = 0
+            try:
+                while not stop.is_set() and generation < 2000:
+                    generation += 1
+                    delta = Delta(database=database)
+                    for row in previous:
+                        delta.delete("R", row)
+                    previous = generation_rows(generation)
+                    for row in previous:
+                        delta.insert("R", row)
+                    service.apply(delta)
+                    # The only writer: the version right after its own
+                    # apply is the version that batch produced.
+                    model[database.version] = sorted(previous)
+            except BaseException as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        checkpoints = []
+        try:
+            for __ in range(25):
+                ckpt = load_checkpoint(service.checkpoint())
+                checkpoints.append((
+                    ckpt.version,
+                    {name: sorted(rows) for name, __, rows in ckpt.relations},
+                ))
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert service.stats().degraded_entries == 0
+        assert len(model) > 1  # the writer did run beside the checkpoints
+        for version, relations in checkpoints:
+            assert relations["R"] == model[version], version
+        service.storage.wal.close()
+        recovered = QueryService.recover(tmp_path).database
+        recovered.log.close()
+        assert recovered.version == database.version
+        assert recovered.names() == database.names()
+        for relation in database:
+            assert sorted(recovered.relation(relation.name).rows) == \
+                sorted(relation.rows)
+        assert sorted(recovered.relation("R").rows) == model[database.version]
+
     def test_serve_state_survives_pickle_of_index(self, tmp_path):
         # The checkpointed index objects must actually pickle (they carry
         # no open handles); guard against a future unpicklable field.
         service = QueryService(make_database(), storage=tmp_path)
         service.count(QUERY)
-        state = service._serve_state()
+        state = service._serve_state(service.database.version)
         assert state
         for __, entry in state:
             pickle.loads(pickle.dumps(entry))
