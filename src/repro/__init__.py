@@ -65,7 +65,6 @@ from repro.core import (
     CQIndex,
     DeletableAnswerSet,
     DynamicCQIndex,
-    FenwickTree,
     IncompatibleUnionError,
     LazyShuffle,
     MCUCQIndex,
@@ -116,7 +115,6 @@ __all__ = [
     "Transaction",
     "DeletableAnswerSet",
     "DynamicCQIndex",
-    "FenwickTree",
     "IncompatibleUnionError",
     "LazyShuffle",
     "MCUCQIndex",

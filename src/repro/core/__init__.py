@@ -25,7 +25,6 @@ from repro.core.errors import (
     OutOfBoundError,
 )
 from repro.core.shuffle import LazyShuffle, random_permutation_indices
-from repro.core.fenwick import FenwickTree
 from repro.core.order_tree import OrderedWeightTree
 from repro.core.dynamic import DynamicCQIndex, DynamicJoinForest, IndexSnapshot
 from repro.core.reduction import PreparedQuery, ReducedJoin, prepare_query, reduce_to_full_acyclic
@@ -48,7 +47,6 @@ __all__ = [
     "OutOfBoundError",
     "LazyShuffle",
     "random_permutation_indices",
-    "FenwickTree",
     "OrderedWeightTree",
     "DynamicCQIndex",
     "DynamicJoinForest",

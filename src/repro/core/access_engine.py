@@ -12,8 +12,9 @@ order-maintained weighted tree
 (:class:`repro.core.dynamic._DynamicBucket`). Before this module existed,
 the ~150-line batched walk was duplicated between
 ``JoinForestIndex.batch_access`` and ``DynamicCQIndex.batch``; now both —
-plus scalar access, inverted access, and in-order enumeration — drive the
-walks below through the :class:`BucketStore` protocol.
+plus scalar access, inverted access, in-order enumeration, and the order
+rank Algorithm 8 needs (:func:`rank_walk`) — drive the walks below
+through the :class:`BucketStore` protocol.
 
 Node protocol
 -------------
@@ -88,6 +89,14 @@ class BucketStore(Protocol):
         participate (absent from the bucket, or present with weight 0 —
         the paper's dangling case)."""
 
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        """``(before, present)``: the total weight of the rows strictly
+        before ``row`` in bucket order — its ``startIndex`` were it here —
+        and whether it participates (present with weight > 0). Unlike
+        :meth:`rank_start` the row need not be in the bucket; the order is
+        :func:`~repro.database.relation.row_sort_key`, so the bucket must
+        be canonically sorted."""
+
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         """``(row, weight)`` pairs in enumeration order, zero-weight rows
         included (callers skip them)."""
@@ -104,7 +113,7 @@ class SnapshotBucketStore:
     Wraps the root returned by
     :meth:`~repro.core.order_tree.OrderedWeightTree.snapshot`: every node
     reachable from it is immutable (the live tree path-copies around
-    frozen nodes), so all four engine walks can run against this store
+    frozen nodes), so every engine walk can run against this store
     with **zero synchronization** while a writer keeps mutating the live
     bucket. Traversal is strictly root-down — parent pointers belong to
     the live tree and are never read here.
@@ -153,21 +162,26 @@ class SnapshotBucketStore:
             node = node.right
 
     def rank_start(self, row: tuple) -> Optional[int]:
+        before, present = self.rank_before(row)
+        return before if present else None
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
         key = _row_sort_key(row)
         node = self.root
-        start = 0
+        before = 0
         while node is not None:
             left = node.left
             if key < node.key:
                 node = left
             elif node.key < key:
-                start += (left.subtotal if left is not None else 0) + node.weight
+                before += (left.subtotal if left is not None else 0) + node.weight
                 node = node.right
             else:
-                if node.weight == 0 or node.row != row:
-                    return None  # dangling/tombstone (or, defensively, absent)
-                return start + (left.subtotal if left is not None else 0)
-        return None
+                if left is not None:
+                    before += left.subtotal
+                # Weight 0 is the dangling/tombstone case.
+                return before, node.weight > 0 and node.row == row
+        return before, False
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         stack: List[object] = []
@@ -575,6 +589,57 @@ def _subtree_inverted(node, key: tuple, assignment: Dict[str, object]) -> Option
         # in base = its bucket weight.
         offset = offset * child_bucket.total + child_index
     return start + offset
+
+
+# ---------------------------------------------------------------------- #
+# Order rank — Algorithm 4 with a lower bound instead of a hit            #
+# ---------------------------------------------------------------------- #
+
+
+def rank_walk(roots: Sequence, assignment: Dict[str, object]) -> int:
+    """How many of the forest's answers do not succeed ``assignment`` in
+    the global order fixed by the forest shape.
+
+    ``assignment`` need not be an answer of *this* forest — only bind the
+    shape's variables (an answer of any index over the same shape does).
+    That is the rank Algorithm 8 needs: ``|{a_1 … a_j} ∩ T|`` is
+    ``rank_walk(T.roots, a_j)``, one root-to-leaf descent over ``T`` and
+    no probe of the member ``a_j`` came from. Requires canonically sorted
+    buckets (see :meth:`BucketStore.rank_before`).
+    """
+    before = 0
+    present = True
+    for root in roots:
+        bucket = root.buckets.get(())
+        if bucket is None:
+            return 0  # an empty root empties the whole product
+        # Roots fold like children: mixed-radix digits, first root most
+        # significant; past the first absent digit only the bases matter.
+        before *= bucket.total
+        if present:
+            part, present = _subtree_rank(root, bucket, assignment)
+            before += part
+    return before + 1 if present else before
+
+
+def _subtree_rank(node, bucket, assignment: Dict[str, object]) -> Tuple[int, bool]:
+    """``(answers of the bucket's subtree strictly before the assignment,
+    the assignment is one of them)``."""
+    row = tuple([assignment[c] for c in node.columns])
+    before, present = bucket.rank_before(row)
+    if not present:
+        return before, False
+    # The row's own answers are the product of its child buckets, ordered
+    # child 0 first (CombineIndex, as in ``_subtree_inverted``); weight > 0
+    # guarantees every child bucket exists and is non-empty.
+    offset = 0
+    for child_position, child in enumerate(node.children):
+        child_bucket = child.buckets[node.child_bucket_key(row, child_position)]
+        offset *= child_bucket.total
+        if present:
+            part, present = _subtree_rank(child, child_bucket, assignment)
+            offset += part
+    return before + offset, present
 
 
 # ---------------------------------------------------------------------- #

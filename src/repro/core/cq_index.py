@@ -161,6 +161,21 @@ class CQIndex:
         """Membership test via inverted access (the paper's ``Test``)."""
         return self.inverted_access(tuple(answer)) is not None
 
+    def rank_not_after(self, answer: tuple) -> int:
+        """How many answers of this index do not succeed ``answer`` in the
+        global order of the join-forest shape.
+
+        ``answer`` need not be an answer of *this* query — any head tuple
+        of an index over the same shape ranks (the mc-UCQ machinery ranks
+        a member's answers in the intersection indexes this way, one
+        descent each). Refused on ``sort_buckets=False`` indexes.
+        """
+        if len(answer) != len(self.head_variables):
+            raise ValueError(
+                f"expected a {len(self.head_variables)}-tuple, got {answer!r}"
+            )
+        return self._forest.rank_not_after(dict(zip(self.head_variables, answer)))
+
     def ensure_inverted_support(self) -> None:
         """Eagerly build the inverted-access tables (otherwise lazy)."""
         self._forest.ensure_inverted_support()

@@ -166,6 +166,11 @@ class _DynamicBucket:
             return None
         return self.tree.prefix_of(node)
 
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        # The handle map cannot place a row that is not here; the frozen
+        # view's key-guided descent can (memoized until the next write).
+        return self.freeze().rank_before(row)
+
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         return ((node.row, node.weight) for node in self.tree)
 
@@ -403,6 +408,18 @@ class EngineServingMixin:
     def __contains__(self, answer: tuple) -> bool:
         """Membership test via inverted access (the paper's ``Test``)."""
         return self.inverted_access(tuple(answer)) is not None
+
+    def rank_not_after(self, answer: tuple) -> int:
+        """How many answers of this version do not succeed ``answer`` in
+        the canonical global order; ``answer`` need not be one of them
+        (see :func:`repro.core.access_engine.rank_walk`)."""
+        if len(answer) != len(self.head_variables):
+            raise ValueError(
+                f"expected a {len(self.head_variables)}-tuple, got {answer!r}"
+            )
+        return access_engine.rank_walk(
+            self.roots, dict(zip(self.head_variables, answer))
+        )
 
     def __iter__(self) -> Iterator[tuple]:
         """Enumerate in index order — the canonical global order."""

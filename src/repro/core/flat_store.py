@@ -57,6 +57,7 @@ time rather than risking overflow.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from itertools import repeat as _repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -402,6 +403,16 @@ class FlatBucketStore:
         if not flat.weights[self.lo + position]:
             return None
         return int(flat.row_start[self.lo + position]) - self.base
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        rows = self.rows
+        position = bisect_left(rows, row_sort_key(row), key=row_sort_key)
+        if position == len(rows):
+            return self.total, False
+        flat = self.flat
+        return int(flat.row_start[self.lo + position]) - self.base, (
+            rows[position] == row and bool(flat.weights[self.lo + position])
+        )
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         return zip(self.rows, self.flat.weights[self.lo:self.hi].tolist())
@@ -1244,11 +1255,15 @@ class FlatSnapshotStore:
             slot = right[slot]
 
     def rank_start(self, row: tuple) -> Optional[int]:
+        before, present = self.rank_before(row)
+        return before if present else None
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
         key = row_sort_key(row)
         f = self.frozen
         left, right, weight, subtotal = f.left, f.right, f.weight, f.subtotal
         slot = f.root
-        start = 0
+        before = 0
         while slot != _NIL:
             row_id = int(f.row_of[slot])
             slot_key = f.keys[row_id]
@@ -1256,13 +1271,14 @@ class FlatSnapshotStore:
             if key < slot_key:
                 slot = a
             elif slot_key < key:
-                start += (subtotal[a] if a != _NIL else 0) + weight[slot]
+                before += (subtotal[a] if a != _NIL else 0) + weight[slot]
                 slot = right[slot]
             else:
-                if weight[slot] == 0 or f.rows[row_id] != row:
-                    return None  # dangling/tombstone (or defensively absent)
-                return int(start + (subtotal[a] if a != _NIL else 0))
-        return None
+                if a != _NIL:
+                    before += subtotal[a]
+                # Weight 0 is the dangling/tombstone case.
+                return int(before), bool(weight[slot]) and f.rows[row_id] == row
+        return int(before), False
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         f = self.frozen
@@ -1333,6 +1349,11 @@ class FlatDynamicBucket:
         if row_id is None or self.tree.row_weight(row_id) == 0:
             return None
         return self.tree.prefix_of(row_id)
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        # As on the object treap: only the frozen view's key-guided
+        # descent can place a row that is not here.
+        return self.freeze().rank_before(row)
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         tree = self.tree

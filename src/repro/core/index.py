@@ -36,7 +36,7 @@ mc-UCQ compatibility requirements of Section 5.2.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database.relation import Relation, row_sort_key
@@ -46,7 +46,7 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - optional acceleration
     _np = None
-from repro.core.errors import OutOfBoundError
+from repro.core.errors import IncompatibleUnionError, OutOfBoundError
 from repro.core.reduction import ReducedJoin, ReducedNode
 
 
@@ -103,6 +103,18 @@ class _Bucket:
         if position is None or self.weights[position] == 0:
             return None
         return self.start[position]
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        """``(startIndex a row sorting like ``row`` has here, it
+        participates)`` — a bisect over the canonically sorted rows, so no
+        rank table and no per-bucket key list is needed."""
+        rows = self.rows
+        position = bisect_left(rows, row_sort_key(row), key=row_sort_key)
+        if position == len(rows):
+            return self.total, False
+        return self.start[position], (
+            rows[position] == row and self.weights[position] > 0
+        )
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         return zip(self.rows, self.weights)
@@ -321,6 +333,22 @@ class JoinForestIndex:
             return None
         self.ensure_inverted_support()
         return access_engine.inverted_walk(self.roots, assignment)
+
+    def rank_not_after(self, assignment: Dict[str, object]) -> int:
+        """How many answers do not succeed ``assignment`` in the global
+        order — :func:`repro.core.access_engine.rank_walk`. The assignment
+        need not be an answer of this index.
+
+        Raises :class:`IncompatibleUnionError` on an index built with
+        ``sort_buckets=False``: its order restricts no global order, so
+        the rank of a foreign assignment is undefined.
+        """
+        if not self.sort_buckets:
+            raise IncompatibleUnionError(
+                "rank_not_after needs canonically sorted buckets; this index "
+                "was built with sort_buckets=False and has no global order"
+            )
+        return access_engine.rank_walk(self.roots, assignment)
 
     # ------------------------------------------------------------------ #
     # Ordered enumeration (Fact 3.5: access gives Enum⟨lin, log⟩; the      #

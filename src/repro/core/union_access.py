@@ -10,9 +10,20 @@ virtual order (Algorithm 7) needs, for a position ``j`` landing on
 ``a_j ∈ A ∩ B``, the count ``k = |{a_1 … a_j} ∩ B|`` — computed by
 inclusion–exclusion over intersection indexes (Algorithm 8), where each
 term ``|{a_1 … a_j} ∩ T|`` is the rank of the largest element of ``T`` not
-succeeding ``a_j``, found by binary search over ``T``'s order through the
-member's inverted access (the appendix's ``Largest`` routine; the
-``log²`` in Theorem 5.5 is exactly this search).
+succeeding ``a_j``.
+
+**Where the paper's log² comes from, and why it is not paid here.** The
+appendix's ``Largest`` routine knows nothing of ``T`` but its access
+routine, so it binary-searches ``T``'s positions, comparing each probe
+``T[k]`` with ``a_j`` through the member's inverted access: O(log|T|)
+probes of O(log) each — exactly the ``log²`` of Theorem 5.5. This
+library's compatibility is *constructive* (next paragraph): every member
+and every ``T`` restricts one global order fixed by the forest shape, so
+"how many elements of ``T`` do not succeed ``a_j``" is a lexicographic
+lower bound, answered by one root-to-leaf descent over ``T`` alone
+(:func:`repro.core.access_engine.rank_walk`, exposed as
+``T.rank_not_after(a_j)``): O(depth · log bucket) per ``T``, no access and
+no inverted access. The ``2^m`` terms of the inclusion–exclusion remain.
 
 **How this library realizes compatibility.** Every index sorts its buckets
 canonically, so an index's enumeration order is the restriction of one
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
@@ -119,28 +131,14 @@ def rank_in_member_order(subset_index, member_index, answer: tuple) -> int:
     """``|{a_1 … a_j} ∩ T|`` for ``a_j = answer``: how many elements of the
     subset index ``T`` do not succeed ``answer`` in the member's order.
 
-    Implements the paper's binary search (their implementation likewise
-    computes the count directly rather than materializing ``Largest`` and
-    then inverting it). Requires ``answer ∈ member`` and ``T ⊆ member``
-    with compatible orders. O(log|T|) probes, each an access plus an
-    inverted access — the source of Theorem 5.5's ``log²`` bound.
+    The paper's ``Largest`` binary-searches ``T`` through the member's
+    inverted access; with compatible orders by construction the count is
+    ``T``'s own order rank (see the module notes), so the member is only
+    consulted to enforce the precondition ``answer ∈ member``.
     """
-    member_rank = member_index.inverted_access(answer)
-    if member_rank is None:
+    if member_index.inverted_access(answer) is None:
         raise ValueError("rank_in_member_order requires an element of the member index")
-    n = subset_index.count
-    if n == 0:
-        return 0
-    low, high = 0, n - 1  # search the largest k with rank(T[k]) ≤ member_rank
-    if member_index.inverted_access(subset_index.access(low)) > member_rank:
-        return 0
-    while low < high:
-        mid = (low + high + 1) // 2
-        if member_index.inverted_access(subset_index.access(mid)) <= member_rank:
-            low = mid
-        else:
-            high = mid - 1
-    return low + 1
+    return subset_index.rank_not_after(answer)
 
 
 # ---------------------------------------------------------------------- #
@@ -154,12 +152,12 @@ class UnionRandomAccess:
     Parameters
     ----------
     members:
-        Index per member set (``count`` / ``access`` / ``inverted_access``),
-        orders pairwise compatible.
+        Index per member set (``count`` / ``access`` / ``batch`` /
+        ``inverted_access``), orders pairwise compatible.
     intersections:
         For each ``ℓ`` and nonempty ``I ⊆ {ℓ+1, …, m−1}``, an index of
-        ``T_{ℓ,I} = S_ℓ ∩ ⋂_{i∈I} S_i`` with an order compatible with
-        ``S_ℓ``'s, keyed by ``(ℓ, frozenset(I))``.
+        ``T_{ℓ,I} = S_ℓ ∩ ⋂_{i∈I} S_i`` over the members' forest shape
+        (``count`` / ``rank_not_after``), keyed by ``(ℓ, frozenset(I))``.
     """
 
     def __init__(
@@ -169,7 +167,15 @@ class UnionRandomAccess:
         tables: Optional[Tuple[List[int], List[int]]] = None,
     ):
         self.members = list(members)
-        self.intersections = intersections
+        m = len(self.members)
+        # Per ℓ, the inclusion–exclusion terms over T_{ℓ,I}: (sign, index).
+        self._terms: List[List[Tuple[int, object]]] = [
+            [
+                (1 if len(subset) % 2 == 1 else -1, intersections[(position, subset)])
+                for subset in _nonempty_subsets(range(position + 1, m))
+            ]
+            for position in range(m)
+        ]
         if tables is not None:
             # Adopt already-computed (overlap, suffix-count) tables — the
             # snapshot path reuses the live union's fresh refresh instead
@@ -189,13 +195,10 @@ class UnionRandomAccess:
         """
         m = len(self.members)
         # |S_ℓ ∩ (S_{ℓ+1} ∪ …)| by inclusion–exclusion over T_{ℓ,I}.
-        self._overlap: List[int] = []
-        for position in range(m):
-            total = 0
-            for subset in _nonempty_subsets(range(position + 1, m)):
-                count = self.intersections[(position, subset)].count
-                total += count if len(subset) % 2 == 1 else -count
-            self._overlap.append(total)
+        self._overlap: List[int] = [
+            sum(sign * index.count for sign, index in terms)
+            for terms in self._terms
+        ]
         # |S_ℓ ∪ … ∪ S_{m−1}| for each suffix.
         self._suffix_count = [0] * (m + 1)
         for position in range(m - 1, -1, -1):
@@ -234,25 +237,82 @@ class UnionRandomAccess:
         shifted = index - member.count + self._overlap[position]
         return self._suffix_access(position + 1, shifted)
 
+    def batch(self, indices: Sequence[int]) -> List[tuple]:
+        """The elements at ``indices``, aligned with the request — equal to
+        ``[self.access(i) for i in indices]``, resolved level by level.
+
+        The request may be unsorted and repeat positions: each *distinct*
+        position is resolved once, in ascending order. At level ``ℓ`` the
+        positions below ``|S_ℓ|`` are fetched with one ``members[ℓ].batch``
+        (shared descents; the vector kernel on the flat store); those
+        landing in a later member become ``k − 1`` and the positions past
+        ``|S_ℓ|`` shift by ``overlap − |S_ℓ|``, exactly as in
+        :meth:`access`. That list is again ascending — the rank ``k``
+        grows with the position, and every ``k − 1 < overlap ≤`` every
+        shifted position — so no level re-sorts. Raises
+        :class:`~repro.core.errors.OutOfBoundError` on any position
+        outside ``[0, count)`` before resolving anything.
+        """
+        if hasattr(indices, "tolist"):
+            # sample_positions may hand over an int64 ndarray; the levels
+            # split lists and add python-int ranks, so unbox once here.
+            indices = indices.tolist()
+        count = self.count
+        for index in indices:
+            if index < 0 or index >= count:
+                raise OutOfBoundError(index, count)
+        distinct = sorted(set(indices))
+        resolved = dict(zip(distinct, self._suffix_batch(0, distinct)))
+        return [resolved[index] for index in indices]
+
+    def _suffix_batch(self, position: int, indices: List[int]) -> List[tuple]:
+        member = self.members[position]
+        if position == len(self.members) - 1:
+            return member.batch(indices)
+        cut = bisect_left(indices, member.count)
+        answers = member.batch(indices[:cut])
+        slots: List[int] = []  # the answers the suffix union replaces
+        deferred: List[int] = []  # …and their positions in that union
+        for slot, answer in enumerate(answers):
+            if self._in_suffix(position + 1, answer):
+                slots.append(slot)
+                deferred.append(self._prefix_overlap(position, answer) - 1)
+        shift = self._overlap[position] - member.count
+        deferred.extend([index + shift for index in indices[cut:]])
+        if deferred:
+            resolved = self._suffix_batch(position + 1, deferred)
+            for slot, answer in zip(slots, resolved):
+                answers[slot] = answer
+            answers.extend(resolved[len(slots):])
+        return answers
+
     def _in_suffix(self, start: int, answer: tuple) -> bool:
-        return any(
-            self.members[i].inverted_access(answer) is not None
-            for i in range(start, len(self.members))
-        )
+        return _in_some(self.members[start:], answer)
+
+    def __contains__(self, answer: tuple) -> bool:
+        return _in_some(self.members, answer)
 
     def _prefix_overlap(self, position: int, answer: tuple) -> int:
-        """``|{a_1 … a_j} ∩ (S_{position+1} ∪ …)|`` where ``a_j = answer``."""
-        member = self.members[position]
-        total = 0
-        for subset in _nonempty_subsets(range(position + 1, len(self.members))):
-            t_index = self.intersections[(position, subset)]
-            count = rank_in_member_order(t_index, member, answer)
-            total += count if len(subset) % 2 == 1 else -count
-        return total
+        """``|{a_1 … a_j} ∩ (S_{position+1} ∪ …)|`` where ``a_j = answer``:
+        the ± sum of ``answer``'s order rank in every ``T_{position,I}``,
+        one descent each (the module notes say why no search is needed)."""
+        return sum(
+            sign * index.rank_not_after(answer)
+            for sign, index in self._terms[position]
+        )
 
     def __iter__(self) -> Iterator[tuple]:
         for index in range(self.count):
             yield self.access(index)
+
+
+def _in_some(members: Sequence, answer: tuple) -> bool:
+    """The paper's ``Test`` against a union: one inverted access per
+    member (constant each), stopping at the first that holds it."""
+    for member in members:
+        if member.inverted_access(answer) is not None:
+            return True
+    return False
 
 
 def _nonempty_subsets(indices) -> List[FrozenSet[int]]:
@@ -282,15 +342,11 @@ def enumerate_union(members: Sequence) -> Iterator[tuple]:
 
     first = members[0]
     rest = members[1:]
-
-    def in_rest(answer: tuple) -> bool:
-        return any(m.inverted_access(answer) is not None for m in rest)
-
     rest_iterator = enumerate_union(rest)
     _EOE = object()
     b = next(rest_iterator, _EOE)
     for a in iter(first):
-        if not in_rest(a):
+        if not _in_some(rest, a):
             yield a
         else:
             # a ∈ B: emit B's next element instead, consuming both.
@@ -306,42 +362,6 @@ def enumerate_union(members: Sequence) -> Iterator[tuple]:
 # ---------------------------------------------------------------------- #
 
 
-def _batch_union(union: UnionRandomAccess, count: int, indices: Sequence[int]) -> List[tuple]:
-    """The union answers at ``indices``, aligned with the request.
-
-    Shared by :meth:`MCUCQIndex.batch` and
-    :meth:`UnionIndexSnapshot.batch`. The union walk has no per-position
-    prefix to share (each access re-runs the inclusion–exclusion rank
-    searches), so the batch win is deduplication plus a sorted walk: each
-    *distinct* position is resolved once, in ascending order, which keeps
-    the member indexes' bucket walks cache-friendly. Raises
-    :class:`~repro.core.errors.OutOfBoundError` on any position outside
-    ``[0, count)`` before resolving anything.
-    """
-    if hasattr(indices, "tolist"):
-        # sample_positions may hand over an int64 ndarray; the union walk is
-        # scalar (dict keys, sorted slots), so unbox once at the boundary.
-        indices = indices.tolist()
-    # Every slot is overwritten before returning (the bound check below is
-    # all-or-nothing), so placeholder empty tuples keep the element type
-    # honest without a List[Optional[tuple]] false positive.
-    out: List[tuple] = [()] * len(indices)
-    if not indices:
-        return out
-    for index in indices:
-        if index < 0 or index >= count:
-            raise OutOfBoundError(index, count)
-    access = union.access
-    resolved: Dict[int, tuple] = {}
-    for slot in sorted(range(len(indices)), key=indices.__getitem__):
-        index = indices[slot]
-        answer = resolved.get(index)
-        if answer is None:
-            answer = resolved[index] = access(index)
-        out[slot] = answer
-    return out
-
-
 class UnionIndexSnapshot:
     """One published, immutable version of a dynamic mc-UCQ index.
 
@@ -355,7 +375,7 @@ class UnionIndexSnapshot:
     while the single writer keeps patching the live index.
 
     Like the live :class:`MCUCQIndex`, the union surface offers no
-    inverted access.
+    inverted access (membership, ``answer in snapshot``, it does).
     """
 
     #: Snapshots are read-only; the service must never route writes here.
@@ -392,13 +412,18 @@ class UnionIndexSnapshot:
         return self._union.access(index)
 
     def batch(self, indices: Sequence[int]) -> List[tuple]:
-        return _batch_union(self._union, self.count, indices)
+        return self._union.batch(indices)
 
     def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
         return self.batch(sample_positions(self.count, k, rng))
 
     def __iter__(self) -> Iterator[tuple]:
         return enumerate_union(self.member_snapshots)
+
+    def __contains__(self, answer: tuple) -> bool:
+        """Membership (the paper's ``Test``): one inverted access per
+        member — without it ``in`` would enumerate the union."""
+        return tuple(answer) in self._union
 
     def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
         shuffle = LazyShuffle(self.count, rng)
@@ -694,18 +719,23 @@ class MCUCQIndex:
     def access(self, index: int) -> tuple:
         """Random access into the union's Durand–Strozecki order.
 
-        O(log²) per call (Theorem 5.5), with a ``2^m`` constant.
+        Theorem 5.5 states O(log²): its ``Largest`` binary-searches every
+        ``T_{ℓ,I}`` through an access plus an inverted access per probe.
+        Here compatibility is constructive, so each of the ``2^m`` terms
+        is one order-rank descent of ``T`` — O(depth · log bucket) — and a
+        call costs O(2^m · log) (see the module notes).
         """
         return self._union.access(index)
 
     def batch(self, indices: Sequence[int]) -> List[tuple]:
         """The union answers at ``indices``, aligned with the request.
 
-        Equal to ``[self.access(i) for i in indices]`` — see
-        :func:`_batch_union` for the dedup-and-sort amortization shared
-        with :class:`UnionIndexSnapshot`.
+        Equal to ``[self.access(i) for i in indices]``, but resolved by
+        :meth:`UnionRandomAccess.batch`: distinct positions once, level by
+        level, one member ``batch`` per level — so the positions of a page
+        or a sample share member descents like a CQ batch does.
         """
-        return _batch_union(self._union, self.count, indices)
+        return self._union.batch(indices)
 
     def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
         """The first ``min(k, count)`` draws of :meth:`random_order`.
@@ -719,6 +749,11 @@ class MCUCQIndex:
     def __iter__(self) -> Iterator[tuple]:
         """Enumerate in the union's order (Algorithm 6)."""
         return enumerate_union(self.member_indexes)
+
+    def __contains__(self, answer: tuple) -> bool:
+        """Membership (the paper's ``Test``): one inverted access per
+        member — without it ``in`` would enumerate the union."""
+        return tuple(answer) in self._union
 
     def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
         """REnum(mcUCQ): a uniformly random permutation of the union.

@@ -23,6 +23,21 @@ def store(request) -> str:
     return request.param
 
 
+@pytest.fixture(scope="session")
+def brute_rank():
+    """The oracle for ``subset.rank_not_after(answer)``, shared by the unit
+    and the property tests: how many elements of ``subset`` do not succeed
+    ``answer`` in ``member``'s order, counted one inverted access at a
+    time. Requires ``answer ∈ member`` and ``subset ⊆ member`` (the
+    paper's ``Largest`` setting)."""
+
+    def count(subset, member, answer: tuple) -> int:
+        position = member.inverted_access(answer)
+        return sum(1 for t in subset if member.inverted_access(t) <= position)
+
+    return count
+
+
 @pytest.fixture()
 def chain_db() -> Database:
     """A tiny chain-join database with dangling tuples on both sides."""

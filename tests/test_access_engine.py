@@ -57,6 +57,12 @@ class TestBucketStoreProtocol:
         for bucket in buckets:
             assert bucket.rank_start((2,)) == 1
             assert bucket.rank_start((9,)) is None
+            # rank_before places rows that are not there, too.
+            assert bucket.rank_before((0,)) == (0, False)
+            assert bucket.rank_before((1,)) == (0, True)
+            assert bucket.rank_before((1.5,)) == (1, False)
+            assert bucket.rank_before((2,)) == (1, True)
+            assert bucket.rank_before((9,)) == (2, False)
 
     def test_unit_leaf_split(self):
         assert _Bucket.unit_leaf is True
@@ -76,6 +82,8 @@ class TestBucketStoreProtocol:
         for bucket in [static, dynamic] + _flat_buckets(entries):
             assert bucket.rank_start((1,)) is None  # dangling
             assert bucket.rank_start((2,)) == 0
+            assert bucket.rank_before((1,)) == (0, False)  # there, not participating
+            assert bucket.rank_before((2,)) == (0, True)
             assert bucket.locate_run(0)[0] == (2,)  # skips the empty range
 
 

@@ -142,3 +142,82 @@ def _harmonic(n: int) -> float:
     if n <= 0:
         return 0.0
     return math.log(n) + 0.5772156649 + 1 / (2 * n)
+
+
+class _CountingBucket:
+    """A bucket proxy that tallies the engine's primitive calls; every
+    other attribute (``total``, ``unit_leaf``, ``rows`` …) passes through."""
+
+    COUNTED = ("locate_run", "rank_start", "rank_before")
+
+    def __init__(self, bucket, tally):
+        self._bucket = bucket
+        self._tally = tally
+
+    def __getattr__(self, name):
+        value = getattr(self._bucket, name)
+        if name in self.COUNTED:
+            self._tally[name] += 1
+        return value
+
+
+class TestTheorem55Mechanism:
+    """The ``log²`` of Theorem 5.5 is ``Largest``'s binary search over
+    each ``T_{ℓ,I}`` — O(log|T|) accesses into ``T``. With compatibility
+    by construction the rank is one descent of ``T``: per access, at most
+    one ``rank_before`` per node of the shape and per ``T``, no
+    ``locate_run`` on any ``T`` at all, whatever ``|T|`` is."""
+
+    @staticmethod
+    def _three_way(n):
+        from repro import Database, MCUCQIndex, Relation, parse_ucq
+
+        third = n // 3
+        db = Database([
+            Relation(f"R{i + 1}", ("a", "b"),
+                     [(a, a % 2) for a in range(i * third, i * third + n)])
+            for i in range(3)
+        ] + [Relation("S", ("b", "c"), [(0, "p"), (1, "q"), (1, "r")])])
+        ucq = parse_ucq(" ; ".join(
+            f"Q(a, b, c) :- R{i + 1}(a, b), S(b, c)" for i in range(3)
+        ))
+        return MCUCQIndex(ucq, db)
+
+    @staticmethod
+    def _instrument(index):
+        """Wrap every bucket of every intersection index; returns the
+        per-``T`` tallies and the number of nodes of the shared shape."""
+        tallies = {}
+        for key, subset in index.intersection_indexes.items():
+            tally = tallies[key] = dict.fromkeys(_CountingBucket.COUNTED, 0)
+            nodes = [n for root in subset._forest.roots for n in root.all_nodes()]
+            for node in nodes:
+                node.buckets = {
+                    k: _CountingBucket(bucket, tally)
+                    for k, bucket in node.buckets.items()
+                }
+        return tallies, len(nodes)
+
+    def _worst_access(self, n):
+        """``(smallest |T|, max rank_before calls one access makes on one T)``
+        over every position of the union, asserting the rest on the way."""
+        index = self._three_way(n)
+        expected = list(index)  # Algorithm 6, before any wrapping
+        tallies, nodes = self._instrument(index)
+        worst = 0
+        for position, answer in enumerate(expected):
+            for tally in tallies.values():
+                tally.update(dict.fromkeys(tally, 0))
+            assert index.access(position) == answer
+            for tally in tallies.values():
+                assert tally["locate_run"] == 0 and tally["rank_start"] == 0
+                assert tally["rank_before"] <= nodes
+                worst = max(worst, tally["rank_before"])
+        assert worst > 0  # some position did land in a later member
+        return min(t.count for t in index.intersection_indexes.values()), worst
+
+    def test_rank_costs_one_descent_per_intersection_at_any_size(self):
+        small_t, small_calls = self._worst_access(30)
+        large_t, large_calls = self._worst_access(300)
+        assert large_t >= 8 * small_t > 0
+        assert large_calls == small_calls  # a binary search would add log₂ 8

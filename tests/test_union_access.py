@@ -47,7 +47,7 @@ def three_way_union():
 
 
 class TestRankInMemberOrder:
-    def test_counts_elements_not_succeeding(self, overlapping_union):
+    def test_counts_elements_not_succeeding(self, overlapping_union, brute_rank):
         ucq, db = overlapping_union
         index = MCUCQIndex(ucq, db)
         member = index.member_indexes[0]
@@ -57,6 +57,8 @@ class TestRankInMemberOrder:
         for position in range(member.count):
             answer = member.access(position)
             rank = rank_in_member_order(subset, member, answer)
+            assert rank == subset.rank_not_after(answer)
+            assert rank == brute_rank(subset, member, answer)
             assert rank in (previous, previous + 1)
             in_subset = subset.inverted_access(answer) is not None
             assert rank == previous + 1 if in_subset else rank == previous
@@ -70,6 +72,89 @@ class TestRankInMemberOrder:
         subset = index.intersection_indexes[(0, frozenset({1}))]
         with pytest.raises(ValueError):
             rank_in_member_order(subset, member, ("nope", 0, 0))
+
+    def test_rank_of_a_foreign_tuple_is_a_lower_bound(self, overlapping_union):
+        """The rank walks ``T`` alone: the tuple need not be an answer of
+        ``T`` — nor of anything — to have a place in the global order."""
+        ucq, db = overlapping_union
+        subset = MCUCQIndex(ucq, db).intersection_indexes[(0, frozenset({1}))]
+        elements = list(subset)
+        # The shape is S(b, c) over R(a, b): (b, c) leads the order, then a.
+        assert elements[0] == (6, 0, 0) and elements[-1] == (11, 2, 1)
+        # Before the first and after the last element of T.
+        assert subset.rank_not_after((6, -1, 0)) == 0
+        assert subset.rank_not_after((5, 0, 0)) == 0
+        assert subset.rank_not_after((0, 9, 9)) == subset.count == len(elements)
+        # Between two elements: on a root row of T, dangling below it
+        # ((6, 0, 0) < (7, 0, 0) < (9, 0, 0)) or past its last child.
+        assert subset.rank_not_after((7, 0, 0)) == 1
+        assert subset.rank_not_after((99, 0, 0)) == 2
+        # Between two root rows: no (b, c) = (0, 5) in S.
+        assert subset.rank_not_after((6, 0, 5)) == 4
+
+    def test_rank_in_an_empty_intersection(self):
+        db = Database([
+            Relation("R1", ("a", "b"), [(1, 0), (2, 0)]),
+            Relation("R2", ("a", "b"), [(10, 0)]),
+            Relation("S", ("b", "c"), [(0, "x")]),
+        ])
+        ucq = parse_ucq(
+            "Q(a, b, c) :- R1(a, b), S(b, c) ; Q(a, b, c) :- R2(a, b), S(b, c)"
+        )
+        for dynamic in (False, True):
+            index = MCUCQIndex(ucq, db, dynamic=dynamic)
+            subset = index.intersection_indexes[(0, frozenset({1}))]
+            assert subset.count == 0
+            for answer in index.member_indexes[0]:
+                assert subset.rank_not_after(answer) == 0
+
+    def test_unsorted_index_refuses_to_rank(self, overlapping_union):
+        ucq, db = overlapping_union
+        unsorted = CQIndex(ucq.queries[0], db, sort_buckets=False)
+        with pytest.raises(IncompatibleUnionError):
+            unsorted.rank_not_after(unsorted.access(0))
+
+    def test_wrong_arity_has_no_rank(self, overlapping_union):
+        ucq, db = overlapping_union
+        for dynamic in (False, True):
+            member = MCUCQIndex(ucq, db, dynamic=dynamic).member_indexes[0]
+            with pytest.raises(ValueError):
+                member.rank_not_after((1, 2))
+
+
+class TestUnionMembership:
+    """``answer in cursor`` on a union is the paper's ``Test`` — one
+    inverted access per member — not python's iteration fallback."""
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_contains_never_enumerates(self, overlapping_union, monkeypatch, dynamic):
+        from repro import QueryService
+        from repro.core import union_access
+
+        ucq, db = overlapping_union
+        steps = []
+
+        def counting(members):
+            for answer in enumerate_union(members):
+                steps.append(answer)
+                yield answer
+
+        monkeypatch.setattr(union_access, "enumerate_union", counting)
+        service = QueryService(db, dynamic=dynamic)
+        cursor = service.cursor(ucq)
+        index = service.index(ucq)
+        views = [cursor, index] + ([index.snapshot] if dynamic else [])
+        truth = evaluate_ucq(ucq, db)
+        present = sorted(truth)
+        absent = [(99, 0, 0), (0, 0, 7), ("a", "b", "c")]
+        wrong_arity = [(), (0, 0), (0, 0, 0, 0)]
+        for view in views:
+            assert all(answer in view for answer in present)
+            assert not any(answer in view for answer in absent + wrong_arity)
+        assert steps == []
+        assert all(list(present[0]) in view for view in views)  # as on a CQ
+        # The counter does count: iteration still goes through Algorithm 6.
+        assert sorted(index) == present and len(steps) >= len(present)
 
 
 class TestMCUCQIndex:
