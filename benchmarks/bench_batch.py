@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         for p in pages
     ])
     cached_seconds, __ = timed(lambda: [
-        service.page(query, p, page_size=page_size) for p in pages
+        service.cursor(query).page(p, page_size=page_size) for p in pages
     ])
     print(f"{len(pages)} pages       : rebuild-per-page {rebuild_seconds:.3f}s  "
           f"cached service {cached_seconds:.3f}s  "

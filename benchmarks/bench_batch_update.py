@@ -151,10 +151,10 @@ def main(argv=None) -> int:
     batch_service = QueryService(db_batch, dynamic=True)
     # Warm both caches: the gate measures write absorption on a hot union,
     # not the initial build.
-    warm_loop, __ = timed(lambda: loop_service.count(query))
-    warm_batch, __ = timed(lambda: batch_service.count(query))
+    warm_loop, __ = timed(lambda: loop_service.cursor(query).count)
+    warm_batch, __ = timed(lambda: batch_service.cursor(query).count)
     n_facts = db_loop.size()
-    print(f"|D| = {n_facts} facts, |Q(D)| = {loop_service.count(query)}, "
+    print(f"|D| = {n_facts} facts, |Q(D)| = {loop_service.cursor(query).count}, "
           f"burst of {len(updates)} updates")
     print(f"warm build     : loop-side {warm_loop:.3f}s  "
           f"batch-side {warm_batch:.3f}s")
@@ -177,8 +177,8 @@ def main(argv=None) -> int:
         print("FAIL: a dynamic entry was invalidated instead of updated")
         return 1
 
-    n_loop = loop_service.count(query)
-    n_batch = batch_service.count(query)
+    n_loop = loop_service.cursor(query).count
+    n_batch = batch_service.cursor(query).count
     if n_loop != n_batch:
         print(f"FAIL: final counts disagree (loop {n_loop}, batch {n_batch})")
         return 1
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     # millions of union answers would dominate the gate's runtime).
     stride = max(1, n_loop // 2_000)
     probe = list(range(0, n_loop, stride)) + [n_loop - 1]
-    if loop_service.batch(query, probe) != batch_service.batch(query, probe):
+    if loop_service.cursor(query).batch(probe) != batch_service.cursor(query).batch(probe):
         print("FAIL: enumerations disagree position-for-position "
               "(order maintenance broken, not just the answer set)")
         return 1

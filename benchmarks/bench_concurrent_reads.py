@@ -109,7 +109,7 @@ def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked)
     done = threading.Event()
     stats = [ReaderStats() for __ in range(n_readers)]
     errors = []
-    expected_count = service.count(query)
+    expected_count = service.cursor(query).count
 
     def reader(position):
         rng = random.Random(1000 + position)
@@ -160,7 +160,7 @@ def run_storm(service, query, n_readers, page_size, sample_size, bursts, locked)
         thread.join(timeout=120)
     if errors:
         raise errors[0]
-    if service.count(query) != expected_count:
+    if service.cursor(query).count != expected_count:
         raise AssertionError("paired bursts must restore the initial count")
     return stats, writer_seconds, applies
 
@@ -222,9 +222,9 @@ def main(argv=None) -> int:
     query = parse_ucq(QUERY_TEXT)
     database = build_database(left_rows, keys, partners)
     service = QueryService(database, dynamic=True)
-    service.count(query)  # warm the dynamic union entry
+    service.cursor(query).count  # warm the dynamic union entry
     bursts = burst_stream(n_bursts, burst_size, left_rows, keys, args.seed)
-    print(f"|D| = {database.size()} facts, |Q(D)| = {service.count(query)}, "
+    print(f"|D| = {database.size()} facts, |Q(D)| = {service.cursor(query).count}, "
           f"{len(bursts)} bursts x {burst_size} ops, "
           f"{args.readers} readers (page {page_size} + sample {sample_size})")
 
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         params={
             "query": QUERY_TEXT,
             "facts": database.size(),
-            "answers": service.count(query),
+            "answers": service.cursor(query).count,
             "readers": args.readers,
             "bursts": len(bursts),
             "burst_size": burst_size,

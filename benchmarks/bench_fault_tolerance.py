@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     )
     app.service.degraded_probe_interval = probe_interval
     base_version = database.version
-    answers = app.service.count(QUERY_TEXT)  # warm the dynamic union entry
+    answers = app.service.cursor(QUERY_TEXT).count  # warm the dynamic union entry
     print(f"|D| = {database.size()} facts, |Q(D)| = {answers}, "
           f"{args.readers} HTTP readers (page {page_size}), "
           f"durable store {storage}")

@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     app = create_app(database, dynamic=True, session_ttl=None)
     base_version = database.version
     service = app.service
-    answers = service.count(QUERY_TEXT)  # warm the dynamic union entry
+    answers = service.cursor(QUERY_TEXT).count  # warm the dynamic union entry
     print(f"|D| = {database.size()} facts, |Q(D)| = {answers}, "
           f"{generations} slice swaps x {2 * slice_rows} ops "
           f"every {pause}s, {args.readers} HTTP readers (page {page_size})")

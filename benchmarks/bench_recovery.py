@@ -95,13 +95,13 @@ def timed(thunk):
 def cold_restart(csv_dir: pathlib.Path, query: str):
     """Parse the CSVs, build the service, serve the first answer."""
     service = QueryService(load_csv_database(str(csv_dir)), store="flat")
-    return service.count(query), service
+    return service.cursor(query).count, service
 
 
 def recovered_restart(store_dir: pathlib.Path, query: str, backend: str):
     """Checkpoint + WAL tail + seeded serve-state, then the first answer."""
     service = QueryService.recover(store_dir, store=backend)
-    return service.count(query), service
+    return service.cursor(query).count, service
 
 
 def prepare_store(base: Database, store_dir: pathlib.Path, backend: str,
@@ -111,9 +111,9 @@ def prepare_store(base: Database, store_dir: pathlib.Path, backend: str,
     durable version."""
     database = base.copy()
     service = QueryService(database, storage=store_dir, store=backend)
-    service.count(QUERY_TEXT)
+    service.cursor(QUERY_TEXT).count
     for query in SIDE_QUERIES:
-        service.count(query)
+        service.cursor(query).count
     service.checkpoint(serve_format=serve_format)
     for batch in range(tail_batches):
         delta = Delta(database=database)
@@ -169,8 +169,8 @@ def main(argv=None) -> int:
         for relation in base:
             write_relation_csv(csv_dir, relation)
         probe = QueryService(base.copy(), store="flat")
-        expected = probe.count(QUERY_TEXT)
-        expected_page = probe.page(QUERY_TEXT, PAGE_AT, page_size=PAGE_SIZE)
+        expected = probe.cursor(QUERY_TEXT).count
+        expected_page = probe.cursor(QUERY_TEXT).page(PAGE_AT, page_size=PAGE_SIZE)
         del probe
 
         final_versions = {}
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
                       f"{materialized} value tables (must be 0 — recovery "
                       f"is supposed to be mmap-and-go)")
                 return 1
-            page = service.page(QUERY_TEXT, PAGE_AT, page_size=PAGE_SIZE)
+            page = service.cursor(QUERY_TEXT).page(PAGE_AT, page_size=PAGE_SIZE)
             if page != expected_page:
                 print(f"FAIL[{name}]: recovered page disagrees with the "
                       f"fresh build")

@@ -110,10 +110,10 @@ def mutate_and_requery(service: QueryService, query, updates, counts, page_size=
             service.insert(relation, row)
         else:
             service.delete(relation, row)
-        count = service.count(query)
+        count = service.cursor(query).count
         counts.append(count)
         if count:
-            service.page(query, 0, page_size=page_size)
+            service.cursor(query).page(0, page_size=page_size)
 
 
 def main(argv=None) -> int:
@@ -144,10 +144,10 @@ def main(argv=None) -> int:
     rebuild_service = QueryService(db_rebuild, dynamic=False)
     # Warm both caches: the gate measures the mutate-then-requery loop on a
     # hot union, not the initial build.
-    warm_dynamic, __ = timed(lambda: dynamic_service.count(query))
-    warm_rebuild, __ = timed(lambda: rebuild_service.count(query))
+    warm_dynamic, __ = timed(lambda: dynamic_service.cursor(query).count)
+    warm_rebuild, __ = timed(lambda: rebuild_service.cursor(query).count)
     n_facts = db_dynamic.size()
-    print(f"|D| = {n_facts} facts, |Q(D)| = {dynamic_service.count(query)}, "
+    print(f"|D| = {n_facts} facts, |Q(D)| = {dynamic_service.cursor(query).count}, "
           f"{n_updates} updates")
     print(f"warm build     : dynamic {warm_dynamic:.3f}s  "
           f"static {warm_rebuild:.3f}s")
@@ -166,9 +166,9 @@ def main(argv=None) -> int:
         print(f"FAIL: expected {n_updates} in-place updates, "
               f"service recorded {stats.in_place_updates}")
         return 1
-    n = dynamic_service.count(query)
-    final_dynamic = dynamic_service.batch(query, range(n))
-    final_rebuild = rebuild_service.batch(query, range(n))
+    n = dynamic_service.cursor(query).count
+    final_dynamic = dynamic_service.cursor(query).batch(range(n))
+    final_rebuild = rebuild_service.cursor(query).batch(range(n))
     if final_dynamic != final_rebuild:
         print("FAIL: final enumerations differ between the two paths "
               "(order maintenance is broken, not just the answer set)")

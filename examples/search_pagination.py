@@ -4,7 +4,7 @@ Jumping to page 4711 of a join's results normally means enumerating (and
 discarding) the 47,110 answers before it. With the Theorem 4.3 index, any
 page costs page_size × O(log n): retrieval time is independent of the page
 number — and each page is served by one *batched* access over its
-contiguous index range. The paginator comes from a ``QueryService``, so
+contiguous index range. Pages come from one ``QueryService`` cursor, so
 every page request after the first reuses the same cached index instead
 of rebuilding it. The demo pages through TPC-H Q3 and also locates the
 page of a specific known answer via inverted access.
@@ -12,6 +12,7 @@ page of a specific known answer via inverted access.
 Run:  python examples/search_pagination.py
 """
 
+import math
 import time
 
 from repro import QueryService
@@ -21,15 +22,15 @@ from repro.tpch.queries import make_q3
 
 def main() -> None:
     db = generate(TPCHConfig(scale_factor=0.005))
-    service = QueryService(db)
-    index = service.index(make_q3())
-    pages = service.paginator(make_q3(), page_size=10)
+    cursor = QueryService(db).cursor(make_q3())
+    page_size = 10
+    total_pages = math.ceil(cursor.count / page_size)
 
-    print(f"result: {pages.total_answers} answers, {pages.total_pages} pages of 10")
+    print(f"result: {cursor.count} answers, {total_pages} pages of {page_size}")
 
-    for number in (0, pages.total_pages // 2, pages.total_pages - 1):
+    for number in (0, total_pages // 2, total_pages - 1):
         started = time.perf_counter()
-        page = pages.page(number)
+        page = cursor.page(number, page_size)
         elapsed = (time.perf_counter() - started) * 1e6
         print(f"\npage {number} (retrieved in {elapsed:.0f}µs):")
         for answer in page[:3]:
@@ -37,10 +38,10 @@ def main() -> None:
         if len(page) > 3:
             print(f"  … {len(page) - 3} more rows")
 
-    needle = index.access(index.count // 3)
+    needle = cursor.get(cursor.count // 3)
     print(f"\nwhere does {needle} live?")
-    print(f"  page {pages.page_of_answer(needle)} (via inverted access, O(1))")
-    print(f"  not-an-answer probe: {pages.page_of_answer(('x',) * 5)}")
+    print(f"  page {cursor.position_of(needle) // page_size} (via inverted access, O(1))")
+    print(f"  not-an-answer probe: {cursor.position_of(('x',) * 5)}")
 
 
 if __name__ == "__main__":

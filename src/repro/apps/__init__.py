@@ -13,6 +13,6 @@ those two consumers on top of the core library:
 """
 
 from repro.apps.online_aggregation import OnlineAggregator, estimate_mean
-from repro.apps.pagination import LivePaginator, Paginator
+from repro.apps.pagination import Paginator
 
-__all__ = ["OnlineAggregator", "estimate_mean", "LivePaginator", "Paginator"]
+__all__ = ["OnlineAggregator", "estimate_mean", "Paginator"]

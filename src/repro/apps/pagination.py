@@ -10,11 +10,11 @@ answer count.
 Serving note: a page is a contiguous index range, exactly the best case of
 the batched access engine, so :meth:`Paginator.page` issues one
 ``batch(range(start, stop))`` call when the index supports it. Call sites
-that serve many pages (or many queries) should obtain a
-:class:`LivePaginator` from :meth:`repro.service.QueryService.paginator`,
-which reuses one cached index instead of rebuilding per request *and*
-stays correct across database mutations — under the service's dynamic
-mutation path the same index object is patched in place between pages.
+that serve many pages (or many queries) over a mutating database should
+read through a service cursor instead —
+``service.cursor(q).page(number, page_size)`` reuses one cached index and
+clamps each page to the count of the same pinned view it reads, so pages
+stay correct across mutations.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class Paginator:
             )
         start = number * self.page_size
         stop = min(start + self.page_size, count)
-        return self._batch(start, stop)
-
-    def _batch(self, start: int, stop: int) -> List[tuple]:
-        """Serve one contiguous position range (overridable transport)."""
         batch = getattr(self.index, "batch", None)
         if batch is not None:
             return batch(range(start, stop))
@@ -88,44 +84,3 @@ class Paginator:
             return None
         return position // self.page_size
 
-
-class LivePaginator(Paginator):
-    """A paginator over a re-resolving service cursor.
-
-    A plain :class:`Paginator` pins the index it was built over — correct
-    for a static snapshot, wrong for a long-held handle over a mutating
-    database. This variant holds a
-    :class:`~repro.service.cursor.Cursor` (``on_stale="reresolve"``): the
-    query is parsed and canonicalized once at construction, and every
-    ``page`` / ``total_pages`` / ``page_of_answer`` reads through the
-    cursor, so pages stay correct across ``service.insert`` /
-    ``service.delete`` / ``service.apply``. Between mutations a read is an
-    O(1) probe of the cached entry; across a mutation it is either the
-    same :class:`~repro.core.dynamic.DynamicCQIndex` updated in place (the
-    hot path) or a fresh rebuild — the paginator cannot tell and does not
-    care.
-    """
-
-    def __init__(self, service, query, page_size: int = 10):
-        self._cursor = service.cursor(query, on_stale="reresolve")
-        # The base class validates page_size; a cursor duck-types the
-        # index contract (count/access/batch/inverted_access), and its
-        # reads serve from the snapshot pinned at the bound version, so a
-        # page fetch is wait-free and cannot interleave with a concurrent
-        # in-place mutation. batch_range clamps to the count of the same
-        # pinned snapshot it reads, so a mutation landing between this
-        # paginator's count read and the batch shortens the page instead
-        # of raising out-of-bound.
-        super().__init__(self._cursor, page_size=page_size)
-
-    @property
-    def query(self):
-        """The resolved query this paginator serves."""
-        return self._cursor.query
-
-    @property
-    def total_answers(self) -> int:
-        return self._cursor.count
-
-    def _batch(self, start: int, stop: int) -> List[tuple]:
-        return self._cursor.batch_range(start, stop)

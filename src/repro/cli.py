@@ -68,6 +68,7 @@ import sys
 from typing import List, Optional
 
 from repro import Database, Delta, DeltaError, QueryService, Relation, parse_cq
+from repro.apps.pagination import Paginator
 from repro.database.delta import DeltaLineError, delta_from_jsonl
 from repro.query.render import describe_query
 from repro.storage import DurableStore, StorageError, decode_cell, write_relation_csv
@@ -143,7 +144,7 @@ def _apply_mutations(service: QueryService, args) -> None:
     deletes = [_parse_fact(spec) for spec in (getattr(args, "delete", None) or ())]
     if not inserts and not deletes:
         return
-    service.count(args.query)  # warm the index before the write burst
+    service.cursor(args.query).count  # warm the index before the write burst
     for relation, row in inserts:
         service.insert(relation, row)
     for relation, row in deletes:
@@ -188,7 +189,7 @@ def command_shuffle(args) -> int:
 def command_page(args) -> int:
     service = _build_service(args)
     _apply_mutations(service, args)
-    paginator = service.paginator(args.query, page_size=args.page_size)
+    paginator = Paginator(service.cursor(args.query), page_size=args.page_size)
     try:
         answers = paginator.page(args.number)
     except IndexError:
@@ -216,9 +217,9 @@ def command_sample(args) -> int:
 def command_stats(args) -> int:
     """Serve a query, optionally mutate, and print the serving counters."""
     service = _build_service(args)
-    service.count(args.query)  # warm build
+    service.cursor(args.query).count  # warm build
     _apply_mutations(service, args)
-    print(f"answers: {service.count(args.query)}")
+    print(f"answers: {service.cursor(args.query).count}")
     # The same canonical serialization GET /stats returns over HTTP.
     for name, value in service.stats().to_dict().items():
         print(f"{name}: {value}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from repro.core.cq_index import CQIndex
 from repro.core.permutation import RandomPermutationEnumerator
@@ -38,7 +38,7 @@ from repro.service.query_service import QueryService
 
 
 def _index_for(query, database: Database, service: Optional[QueryService]):
-    """Build an index, or open a service cursor over the shared cache.
+    """Build an index, or open a service cursor over its cache.
 
     With a service, the run reads through a
     :class:`~repro.service.cursor.Cursor` — the query resolves once, the
@@ -113,7 +113,7 @@ def run_renum_cq(
 ) -> EnumerationRun:
     """REnum(CQ): build the index, then emit ``fraction`` of the answers in
     uniformly random order. With ``service``, the index comes from the
-    shared cache and preprocessing time measures the (re)use, not a
+    service's cache and preprocessing time measures the (re)use, not a
     rebuild."""
     rng = rng if rng is not None else random.Random()
     started = time.perf_counter()
@@ -129,91 +129,6 @@ def run_renum_cq(
         answers=emitted,
         requested=k,
         delays=delays,
-    )
-
-
-def run_mutation_requery(
-    query,
-    database: Database,
-    updates: Sequence[Tuple[str, str, tuple]],
-    page_size: int = 10,
-    service: Optional[QueryService] = None,
-    batch_size: Optional[int] = None,
-) -> EnumerationRun:
-    """The write-heavy serving workload: mutate, then re-query, repeatedly.
-
-    ``query`` may be a CQ **or a UCQ** — the service serves either, and
-    with a promoted/forced dynamic entry both absorb updates in place (a
-    UCQ through its full 2^m family of member and intersection indexes).
-    ``updates`` is a sequence of ``(operation, relation, row)`` triples with
-    ``operation`` one of ``"insert"`` / ``"delete"``. Updates are applied
-    through the service — one at a time by default, or grouped into
-    :class:`~repro.database.delta.Delta` batches of ``batch_size`` through
-    :meth:`~repro.service.query_service.QueryService.apply` — then the
-    query is re-served (count + first page) through a long-held cursor:
-    the pattern behind a live search page over a mutating database.
-
-    The split mirrors the paper's accounting: the initial index build is
-    preprocessing; the mutate-and-requery loop is the enumeration part.
-    What the loop costs depends entirely on the service's mutation path —
-    update-in-place entries absorb each write in O(depth · log) (a batch
-    amortizes propagation and the union refresh across the whole delta),
-    static entries force an O(|D|) rebuild at the next requery. ``extra``
-    records how many updates were absorbed in place versus how many
-    invalidated, plus promotions and compactions (see
-    ``benchmarks/bench_dynamic.py``, ``benchmarks/bench_union_dynamic.py``
-    and ``benchmarks/bench_batch_update.py`` for the gates).
-    """
-    if service is None:
-        service = QueryService(database)
-    elif service.database is not database:
-        raise ValueError(
-            "the service is bound to a different database than the one "
-            "passed to the run — results would silently describe the "
-            "service's database"
-        )
-    for operation, __, __ in updates:
-        if operation not in ("insert", "delete"):
-            raise ValueError(f"unknown update operation {operation!r}")
-    started = time.perf_counter()
-    cursor = service.cursor(query)
-    cursor.count  # resolve + build: the preprocessing part
-    preprocessing = time.perf_counter() - started
-
-    before = service.stats()
-    served = 0
-    chunk = 1 if batch_size is None else max(1, batch_size)
-    started = time.perf_counter()
-    for begin in range(0, len(updates), chunk):
-        group = updates[begin:begin + chunk]
-        if batch_size is None:
-            operation, relation, row = group[0]
-            getattr(service, operation)(relation, row)
-        else:
-            service.apply(group)
-        if cursor.count:
-            served += len(cursor.page(0, page_size=page_size))
-    enumeration = time.perf_counter() - started
-    stats = service.stats()
-    name = getattr(query, "name", str(query))
-    return EnumerationRun(
-        label=f"Mutate+Requery {name}",
-        preprocessing_seconds=preprocessing,
-        enumeration_seconds=enumeration,
-        answers=served,
-        requested=len(updates),
-        extra={
-            "updates_in_place": stats.in_place_updates - before.in_place_updates,
-            "batched_updates": stats.batched_updates - before.batched_updates,
-            "batched_update_ops":
-                stats.batched_update_ops - before.batched_update_ops,
-            "invalidations": stats.invalidations - before.invalidations,
-            "promotions": stats.promotions - before.promotions,
-            # compactions is a gauge over the live working set, so the
-            # delta is what this run's updates triggered (a pre-warmed
-            # service's earlier compactions are not billed to this run).
-            "compactions": stats.compactions - before.compactions,
-        },
     )
 
 
@@ -296,7 +211,7 @@ def run_union_renum(
     support (needed by Test/Delete). With ``decile_snapshots`` the run
     records cumulative answer/rejection time after each decile — the
     Figure 5 measurement. With ``service``, member indexes come from the
-    shared cache (deletion happens in per-run DeletableAnswerSet wrappers,
+    service's cache (deletion happens in per-run DeletableAnswerSet wrappers,
     so cached indexes stay intact).
     """
     rng = rng if rng is not None else random.Random()

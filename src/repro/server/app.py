@@ -677,6 +677,16 @@ class ReproApp:
             raise HttpError(400, f"answer must be a JSON array ({error})")
         if not isinstance(answer, list):
             raise HttpError(400, "answer must be a JSON array")
+        # Answers hold only the canonical codec's scalars; a nested array
+        # or object could never match, and is unhashable besides.
+        if not all(
+            value is None or isinstance(value, (bool, int, float, str))
+            for value in answer
+        ):
+            raise HttpError(
+                400, "answer elements must be JSON scalars "
+                "(null, bool, number or string)"
+            )
 
         def read(cursor):
             view = cursor.pinned

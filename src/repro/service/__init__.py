@@ -6,7 +6,7 @@ index is then hit many times. The modules here supply that "build once,
 serve many" shape:
 
 * :mod:`repro.service.cache` — :class:`IndexCache`, an LRU of built
-  indexes keyed by the database and the canonicalized query, so repeated
+  indexes keyed by the canonicalized query, one per service, so repeated
   queries skip preprocessing entirely; each slot publishes its
   ``(version, view)`` pair as one reference, and any mutation either
   republishes a slot for the new version (update-capable or untouched
@@ -14,12 +14,11 @@ serve many" shape:
 * :mod:`repro.service.query_service` — :class:`QueryService`, the façade
   the applications (pagination, online aggregation, the CLI) talk to:
   reads through :class:`~repro.service.cursor.Cursor` objects
-  (``service.cursor(q)`` — resolve once, read many; the free ``count`` /
-  ``get`` / ``batch`` / ``sample`` / ``page`` methods are one-shot-cursor
-  shims), writes through :class:`~repro.database.delta.Delta` batches
-  (``service.apply(delta)`` / ``service.transaction()``; ``insert`` /
-  ``delete`` are one-fact deltas) that keep the cache honest. Writes are
-  incremental where theory allows: cached
+  (``service.cursor(q)`` — resolve once, read many), writes through
+  :class:`~repro.database.delta.Delta` batches (``service.apply(delta)``
+  / ``service.transaction()``; ``insert`` / ``delete`` are one-fact
+  deltas) that keep the cache honest. Writes are incremental where theory
+  allows: cached
   :class:`~repro.core.dynamic.DynamicCQIndex` entries absorb deltas in
   place (O(depth · log) per fact instead of an O(|D|) rebuild, with
   propagation deduplicated across a batch), and hot full acyclic queries
@@ -31,7 +30,6 @@ serve many" shape:
 
 Quickstart
 ----------
->>> import random
 >>> from repro import Database, Relation
 >>> from repro.service import QueryService
 >>> db = Database([
@@ -40,15 +38,15 @@ Quickstart
 ... ])
 >>> service = QueryService(db)
 >>> q = "Q(a, b, c) :- R(a, b), S(b, c)"
->>> service.count(q)
+>>> service.cursor(q).count
 3
->>> service.batch(q, [2, 0, 2])
+>>> service.cursor(q).batch([2, 0, 2])
 [(2, 20, 'z'), (1, 10, 'x'), (2, 20, 'z')]
->>> service.cache_info().hits  # count built the index; batch reused it
+>>> service.stats().hits  # the first cursor built the index; the second reused it
 1
 >>> service.insert("R", (3, 20))         # invalidates cached indexes
 True
->>> service.count(q)
+>>> service.cursor(q).count
 4
 """
 

@@ -1,18 +1,12 @@
-"""A shared LRU cache of built random-access indexes.
+"""An LRU cache of built random-access indexes.
 
 Keying
 ------
-The :class:`~repro.service.query_service.QueryService` addresses the
-cache by ``(database, query key)`` and stores one :class:`Slot` per key:
-
-* the *database* is the :class:`~repro.database.database.Database` object
-  itself (identity hash) — keeping it in the key pins it alive for the
-  slot's lifetime, so a key can never be recycled by a later allocation
-  the way an ``id()`` token could, and two services sharing one cache over
-  different databases never collide;
-* the *query key* is the canonicalized structural form produced by
-  :func:`canonical_query_key`, making the cache insensitive to how the
-  query text was formatted or what the query object instance is.
+Each :class:`~repro.service.query_service.QueryService` owns one cache
+over its one database and stores one :class:`Slot` per canonical query
+key — the structural form produced by :func:`canonical_query_key`, making
+the cache insensitive to how the query text was formatted or what the
+query object instance is.
 
 The database *version* is deliberately **not** part of the key: it is
 published inside the slot, together with the view it answers for (see

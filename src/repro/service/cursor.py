@@ -1,16 +1,18 @@
 """The ``Cursor``: a query's read session, resolved once, snapshot-pinned.
 
-The free read methods of :class:`~repro.service.query_service.QueryService`
-re-resolve their query on every call — parse the rule, canonicalize it,
-look the entry up — which is cheap but pure waste for the common shape of
-a read session: one consumer issuing many reads against one query. A
-:class:`Cursor` front-loads that work: it parses and canonicalizes
-**exactly once** at construction, binds the database version it was opened
-at, and then serves ``count`` / ``get`` / ``batch`` / ``pages`` /
-``sample`` / ``random_order`` / ``position_of`` against one pinned,
-immutable read view — the slot's published snapshot for update-in-place
-indexes, the (immutable) index itself for static ones. Reads are
-therefore **wait-free**: they take no lock, cannot stall behind a writer
+The one read surface of
+:class:`~repro.service.query_service.QueryService` — the paper's random
+access, inverted access, random-order enumeration and count are all
+operations of one index, and a cursor serves every one of them from one
+pinned ``(version, view)`` pair. A read session is one consumer issuing
+many reads against one query, so a :class:`Cursor` front-loads the
+per-query work: it parses and canonicalizes **exactly once** at
+construction, binds the database version it was opened at, and then
+serves ``count`` / ``get`` / ``batch`` / ``pages`` / ``sample`` /
+``random_order`` / ``position_of`` against one pinned, immutable read
+view — the slot's published snapshot for update-in-place indexes, the
+(immutable) index itself for static ones. Reads are therefore
+**wait-free**: they take no lock, cannot stall behind a writer
 mid-burst, and all reads against one pinned view are mutually consistent
 — a ``count`` and the ``batch`` it sizes can never disagree.
 
@@ -29,7 +31,7 @@ When a read finds the database has moved past the pinned version, the
 
 * ``"reresolve"`` (default) — the cursor transparently re-pins the
   slot's currently published pair and serves it. This is the
-  live-paginator behavior: a long-held cursor keeps serving correct pages
+  live-pagination behavior: a long-held cursor keeps serving correct pages
   across mutations. A read that lands while a writer is mid-``apply``
   stays wait-free: it serves the last published (pre-batch) pair and
   reports that pair's version, then picks up the new pair on the first
@@ -231,10 +233,15 @@ class Cursor:
         return self._view().batch(positions)
 
     def batch_range(self, start: int, stop: int) -> List[tuple]:
-        """The answers at positions ``[start, min(stop, count))`` — the
-        count clamp and the batch read the same pinned view, so a
-        concurrent mutation cannot turn a just-valid range into an
-        out-of-bound request (see :meth:`QueryService.batch_range`)."""
+        """The answers at positions ``[start, min(stop, count))``.
+
+        The count clamp and the batch read the same pinned view, so —
+        unlike a separate ``count`` read followed by ``batch`` — a
+        concurrent mutation between the two cannot turn a just-valid range
+        into an out-of-bound request. This is the pagination transport: a
+        page served across a write burst may reflect the pre-burst
+        version, but it never raises and never mixes versions.
+        """
         view = self._view()
         return view.batch(range(max(start, 0), min(stop, view.count)))
 
@@ -249,7 +256,7 @@ class Cursor:
 
         Each page is one batched snapshot read; a mutation between pages
         (under the re-resolve policy) shifts later pages to the newly
-        published version, exactly like a live paginator.
+        published version.
         """
         number = 0
         while True:

@@ -1,23 +1,15 @@
 """The query-serving façade: build indexes once, answer many requests.
 
 ``QueryService`` binds one :class:`~repro.database.database.Database` and
-routes every request through the shared :class:`~repro.service.cache.IndexCache`,
-which holds one :class:`~repro.service.cache.Slot` per ``(database, query
-key)`` — the live index plus the ``(version, view)`` pair readers serve:
+routes every request through its own :class:`~repro.service.cache.IndexCache`,
+which holds one :class:`~repro.service.cache.Slot` per canonical query key
+— the live index plus the ``(version, view)`` pair readers serve:
 
-* ``count(q)`` — ``|Q(D)|`` in O(1) after the (cached) build;
-* ``get(q, i)`` — single random access;
-* ``batch(q, positions)`` — amortized batched access
-  (:meth:`~repro.core.cq_index.CQIndex.batch`);
-* ``sample(q, k)`` — ``k`` uniform draws without replacement, equal to the
-  first ``k`` elements of REnum's random permutation;
-* ``page(q, number)`` / ``paginator(q)`` — pagination served by batched
-  access;
-* ``random_order(q)`` — the full REnum stream;
-* ``cursor(q)`` — a :class:`~repro.service.cursor.Cursor`, the preferred
-  read surface: the query is resolved exactly once and every subsequent
-  read is an O(1) probe plus the access (the free methods above are thin
-  shims that open a one-shot cursor);
+* ``cursor(q)`` — a :class:`~repro.service.cursor.Cursor`, the one read
+  surface: the query is resolved exactly once, and ``count`` / ``get`` /
+  ``batch`` / ``batch_range`` / ``page`` / ``sample`` / ``position_of`` /
+  ``random_order`` then serve from one pinned ``(version, view)`` pair;
+* ``index(q)`` — the live (writer-side) index behind a query's slot;
 * ``apply(delta)`` / ``transaction()`` — batched writes: a whole
   :class:`~repro.database.delta.Delta` with one version bump, one lock
   acquisition, one republication per cached slot, and one union refresh
@@ -66,21 +58,20 @@ one ``(version, view)`` tuple, replaced whole and never mutated — the
 view is the immutable static index, or the immutable snapshot
 (:class:`~repro.core.dynamic.IndexSnapshot` /
 :class:`~repro.core.union_access.UnionIndexSnapshot`) an update-capable
-index publishes at the end of each mutation. The service's read surface —
-cursors and the free-method shims alike — loads that tuple once per pin,
-so a pagination or sampling read proceeds wait-free even while a writer
-is mid-burst, always observes exactly one published version, and reports
-the version its answers were published for. Writers — ``apply`` and
+index publishes at the end of each mutation. A cursor loads that tuple
+once per pin, so a pagination or sampling read proceeds wait-free even
+while a writer is mid-burst, always observes exactly one published
+version, and reports the version its answers were published for. Writers — ``apply`` and
 ``checkpoint`` alike — serialize on one service-wide lock held across the
 whole call, so two writes cannot interleave and the write-ahead log is
 never trimmed under an append. A cache miss takes no lock either: it
 builds from one pinned database version and publishes the build under
-that version's number. Lazy streams
-(``random_order``, iteration, ``online_mean``) are served from a pinned
-view too, so consuming one across concurrent writes is safe — the stream
-simply keeps enumerating the version it pinned.
+that version's number. Lazy streams (``random_order``, iteration, an
+online-aggregation sample over ``cursor.pinned``) are served from a
+pinned view too, so consuming one across concurrent writes is safe — the
+stream simply keeps enumerating the version it pinned.
 
-Queries may be rule strings (parsed once per call — cheap next to any
+Queries may be rule strings (parsed once per cursor — cheap next to any
 index work), :class:`~repro.query.cq.ConjunctiveQuery` objects, or
 :class:`~repro.query.ucq.UnionOfConjunctiveQueries` (served through
 :class:`~repro.core.union_access.MCUCQIndex`, so members must be mutually
@@ -97,26 +88,28 @@ Doctest
 ... ])
 >>> service = QueryService(db)
 >>> q = "Q(a, b, c) :- R(a, b), S(b, c)"
->>> service.get(q, 0)
+>>> cursor = service.cursor(q)
+>>> cursor.get(0)
 (1, 10, 'x')
->>> service.page(q, 0, page_size=2)
+>>> cursor.page(0, page_size=2)
 [(1, 10, 'x'), (1, 10, 'y')]
->>> service.sample(q, 2, random.Random(0))
+>>> cursor.sample(2, random.Random(0))
 [(1, 10, 'y'), (2, 20, 'z')]
 >>> service.delete("S", (20, "z"))
 True
->>> service.count(q)
+>>> cursor.count          # the cursor follows the mutation
 2
 
 With ``dynamic=True`` the same query is served by an update-in-place
 index, and mutations keep the cached entry instead of dropping it:
 
 >>> hot = QueryService(db.copy(), dynamic=True)
->>> hot.count(q)
+>>> live = hot.cursor(q)
+>>> live.count
 2
 >>> hot.insert("S", (20, "w"))
 True
->>> hot.count(q)
+>>> live.count
 3
 >>> hot.stats().in_place_updates
 1
@@ -133,7 +126,7 @@ Delta(2 ops over R,S)
 Delta(3 ops over R,S)
 >>> txn.result.inserted, txn.result.deleted
 (2, 1)
->>> hot.count(q)
+>>> live.count
 4
 >>> hot.stats().batched_updates
 1
@@ -141,13 +134,11 @@ Delta(3 ops over R,S)
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro import faults
-from repro.apps.pagination import LivePaginator
 from repro.core.cq_index import CQIndex
 from repro.core.dynamic import DynamicCQIndex
 from repro.core.union_access import MCUCQIndex
@@ -161,7 +152,7 @@ from repro.query.ucq import UnionOfConjunctiveQueries
 
 from repro.core import flat_store
 from repro.storage import atomic
-from repro.service.cache import CacheInfo, IndexCache, Slot, canonical_query_key
+from repro.service.cache import IndexCache, Slot, canonical_query_key
 from repro.service.cursor import Cursor
 
 Query = Union[str, ConjunctiveQuery, UnionOfConjunctiveQueries]
@@ -227,8 +218,7 @@ class ServiceStats(NamedTuple):
     #: maintenance pass (one per entry per ``apply`` call).
     batched_updates: int = 0
     #: Total facts those batched deltas carried (``batched_update_ops /
-    #: batched_updates`` is the mean batch size a cost-based promotion
-    #: tuner would weigh against one-fact writes).
+    #: batched_updates`` is the mean in-place batch size).
     batched_update_ops: int = 0
     #: Reads served wait-free — from a published snapshot of a dynamic
     #: entry, or from an immutable static index. The healthy steady state:
@@ -321,11 +311,8 @@ class QueryService:
         writes must go through :meth:`insert` / :meth:`delete` (or bump
         ``database.version`` by other means) for cached indexes to be
         maintained correctly.
-    cache:
-        An :class:`~repro.service.cache.IndexCache` to (possibly) share
-        with other services; a private one is created by default.
     cache_capacity:
-        Capacity of the private cache when ``cache`` is not given.
+        Capacity of the service's index cache (LRU, one slot per query).
     promote_after:
         Promotion threshold K of the adaptive mutation path: once K units
         of churn credit have accumulated against the same canonical query
@@ -363,7 +350,6 @@ class QueryService:
     def __init__(
         self,
         database: Database,
-        cache: Optional[IndexCache] = None,
         cache_capacity: int = 32,
         promote_after: int = 3,
         dynamic: Optional[bool] = None,
@@ -372,7 +358,7 @@ class QueryService:
         degraded_probe_interval: float = 1.0,
     ):
         self._database = database
-        self._cache = cache if cache is not None else IndexCache(cache_capacity)
+        self._cache = IndexCache(cache_capacity)
         self._promote_after = promote_after
         self._dynamic = dynamic
         # Canonical query key → how many times a mutation invalidated a
@@ -400,10 +386,6 @@ class QueryService:
         # held, a slot that trails database.version is the last published
         # version, not a stale one.
         self._write_lock = threading.Lock()
-        # Canonical query key → {"single_fact", "batched", "batched_ops"}:
-        # how each entry's in-place maintenance split between one-fact
-        # and larger batches (see update_profile()).
-        self._entry_updates: Dict[tuple, Dict[str, int]] = {}
         self._wal_replayed_ops = 0
         self._checkpoint_skipped = 0
         #: Seconds between degraded-mode write probes (public: operators
@@ -466,18 +448,11 @@ class QueryService:
         return self._slot(query, canonical_query_key(query)).index
 
     def _slots(self):
-        """``(query key, slot)`` for each of this database's cache slots.
-
-        A shared cache may hold foreign-shaped keys (IndexCache is
-        storage-agnostic) and other services' slots; only keys bound to
-        this database (by identity) are this service's to read or patch.
-        """
-        database = self._database
-        for key in self._cache.keys():
-            if isinstance(key, tuple) and len(key) == 2 and key[0] is database:
-                slot = self._cache.peek(key)
-                if slot is not None:
-                    yield key[1], slot
+        """``(query key, slot)`` for each cached slot."""
+        for query_key in self._cache.keys():
+            slot = self._cache.peek(query_key)
+            if slot is not None:
+                yield query_key, slot
 
     def _slot(self, query, query_key) -> Slot:
         """The cache slot for the already canonicalized query, built on
@@ -501,8 +476,7 @@ class QueryService:
         any other slot, or the post-batch one, which it leaves alone.
         """
         database = self._database
-        key = (database, query_key)
-        slot = self._cache.get(key)
+        slot = self._cache.get(query_key)
         if slot is not None:
             published = slot.published
             if (
@@ -511,12 +485,12 @@ class QueryService:
                 or slot.published is not published
             ):
                 return slot
-            if self._cache.peek(key) is slot:
-                self._cache.discard(key)
+            if self._cache.peek(query_key) is slot:
+                self._cache.discard(query_key)
         pinned = database.pin()
         built = self._build(query, query_key, pinned)
         return self._cache.get_or_build(
-            key, lambda: Slot(built, pinned.version)
+            query_key, lambda: Slot(built, pinned.version)
         )
 
     def _count_snapshot_read(self, entry) -> None:
@@ -574,8 +548,6 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Read API                                                            #
     # ------------------------------------------------------------------ #
-    # ``cursor`` is the primary surface; the free methods below are thin
-    # one-shot-cursor shims kept for convenience and compatibility.
 
     def cursor(self, query: Query, on_stale: str = "reresolve") -> Cursor:
         """A :class:`~repro.service.cursor.Cursor` over ``query``.
@@ -591,100 +563,6 @@ class QueryService:
         the full contract).
         """
         return Cursor(self, query, on_stale=on_stale)
-
-    def count(self, query: Query) -> int:
-        """``|Q(D)|`` — O(1) after the cached build."""
-        return self.cursor(query).count
-
-    def get(self, query: Query, position: int) -> tuple:
-        """The answer at ``position`` of the enumeration order."""
-        return self.cursor(query).get(position)
-
-    def batch(self, query: Query, positions: Sequence[int]) -> List[tuple]:
-        """The answers at ``positions`` (unsorted, duplicates allowed)."""
-        return self.cursor(query).batch(positions)
-
-    def batch_range(self, query: Query, start: int, stop: int) -> List[tuple]:
-        """The answers at positions ``[start, min(stop, count))``.
-
-        The count clamp and the batch read the same pinned snapshot, so —
-        unlike a separate ``count`` call followed by ``batch`` — a
-        concurrent mutation between the two cannot turn a just-valid range
-        into an out-of-bound request. This is the pagination transport: a
-        page served across a write burst may reflect the pre-burst
-        version, but it never raises and never mixes versions.
-        """
-        return self.cursor(query).batch_range(start, stop)
-
-    def sample(
-        self, query: Query, k: int, rng: Optional[random.Random] = None
-    ) -> List[tuple]:
-        """``min(k, count)`` uniform draws without replacement.
-
-        Equal to the first ``k`` answers of :meth:`random_order` under the
-        same seeded ``rng``, but served by one batched access.
-        """
-        return self.cursor(query).sample(k, rng)
-
-    def position_of(self, query: Query, answer: tuple) -> Optional[int]:
-        """The enumeration position of ``answer``, or ``None`` (inverted
-        access, Algorithm 4); ``None`` also for indexes without inverted
-        support (the union index)."""
-        return self.cursor(query).position_of(answer)
-
-    def random_order(
-        self, query: Query, rng: Optional[random.Random] = None
-    ) -> Iterator[tuple]:
-        """REnum: stream every answer in uniformly random order."""
-        return self.cursor(query).random_order(rng)
-
-    def page(self, query: Query, number: int, page_size: int = 10) -> List[tuple]:
-        """Page ``number`` (0-based) of the enumeration order."""
-        return self.paginator(query, page_size=page_size).page(number)
-
-    def paginator(self, query: Query, page_size: int = 10):
-        """A :class:`~repro.apps.pagination.LivePaginator` for ``query``.
-
-        *Live*: the paginator reads through a re-resolving
-        :meth:`cursor`, so a long-held paginator keeps serving correct
-        pages (and a correct ``total_pages``) across :meth:`insert` /
-        :meth:`delete` / :meth:`apply` mutations instead of pinning a
-        pre-mutation version forever. Between mutations each read serves
-        from the pinned snapshot; across a mutation the cursor re-pins the
-        newly published version. Reads are wait-free, like every service
-        read.
-        """
-        return LivePaginator(self, query, page_size=page_size)
-
-    def online_mean(
-        self,
-        query: Query,
-        value_of,
-        sample_size: Optional[int] = None,
-        rng: Optional[random.Random] = None,
-        report_every: int = 1,
-    ):
-        """Anytime estimates of a population mean over a uniform sample.
-
-        Draws ``sample_size`` answers (all of them by default) through the
-        cached index's batched sampler and folds them into
-        :func:`~repro.apps.online_aggregation.estimate_mean` — the paper's
-        online-aggregation application without a per-call index rebuild.
-
-        The result is a lazy stream served against the snapshot a fresh
-        cursor pins, so mutating the database while consuming it is safe —
-        the whole sample is drawn from that one pinned version (later
-        mutations are simply not reflected in it).
-        """
-        from repro.apps.online_aggregation import estimate_mean_via_index
-
-        return estimate_mean_via_index(
-            self.cursor(query).pinned,
-            value_of,
-            sample_size=sample_size,
-            rng=rng,
-            report_every=report_every,
-        )
 
     # ------------------------------------------------------------------ #
     # Mutations                                                           #
@@ -876,7 +754,6 @@ class QueryService:
         patched and are dropped (without churn credit — that was not
         write pressure on the query).
         """
-        database = self._database
         effective = applied.effective
         new_version = applied.version
         touched = effective.relations()
@@ -888,7 +765,7 @@ class QueryService:
             # Database.apply bumps the version by exactly one per batch,
             # so a current slot sits at new_version - 1.
             if version != new_version - 1:
-                self._cache.discard((database, query_key))
+                self._cache.discard(query_key)
                 continue
             referenced = _relations_in_key(query_key)
             if touched.isdisjoint(referenced):
@@ -898,20 +775,13 @@ class QueryService:
             if getattr(slot.index, "supports_updates", False):
                 slot.index.apply_delta(effective)
                 slot.publish(new_version)
-                profile = self._entry_updates.setdefault(
-                    query_key,
-                    {"single_fact": 0, "batched": 0, "batched_ops": 0},
-                )
                 if single:
                     self._in_place_updates += 1
-                    profile["single_fact"] += 1
                 else:
                     self._batched_updates += 1
                     self._batched_update_ops += len(effective)
-                    profile["batched"] += 1
-                    profile["batched_ops"] += len(effective)
             else:
-                self._cache.discard((database, query_key))
+                self._cache.discard(query_key)
                 # Delta-aware promotion credit: churn pressure scales with
                 # how much of the batch actually hit this query's
                 # relations, so a write-burst-heavy query reaches the
@@ -1014,7 +884,7 @@ class QueryService:
         service = cls(database, **kwargs)
         for query_key, entry in ckpt.serve_state:
             service._cache.get_or_build(
-                (database, query_key),
+                query_key,
                 lambda entry=entry: Slot(entry, database.version),
             )
         report = store.replay_tail(
@@ -1024,21 +894,9 @@ class QueryService:
         service._wal_replayed_ops = report.replayed_ops
         return service
 
-    def update_profile(self) -> Dict[tuple, Dict[str, int]]:
-        """Per-entry in-place maintenance counts, keyed by canonical query
-        key: ``{"single_fact", "batched", "batched_ops"}`` — the inputs a
-        cost-based promotion tuner needs (how often each hot query is
-        written, and in what batch sizes) alongside the churn pressure
-        already driving count-based promotion."""
-        return {key: dict(counts) for key, counts in self._entry_updates.items()}
-
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
     # ------------------------------------------------------------------ #
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction/invalidation counters of the cache."""
-        return self._cache.info()
 
     def stats(self) -> ServiceStats:
         """Cache effectiveness plus the service's own serving counters.
@@ -1047,9 +905,7 @@ class QueryService:
         service's* update-capable entries currently in the cache (member
         and intersection structures included for dynamic unions) — they
         report the live dynamic working set's self-maintenance, not an
-        all-time total. A shared cache may hold other services' entries;
-        like the mutation walk, the sums only touch keys bound to this
-        database. Every read is a wait-free ``snapshot_reads`` tick;
+        all-time total. Every read is a wait-free ``snapshot_reads`` tick;
         ``locked_reads`` is a constant 0.
         """
         info = self._cache.info()

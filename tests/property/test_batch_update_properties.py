@@ -129,8 +129,8 @@ def test_service_transaction_matches_per_fact_service(operations, seed):
     ops = as_ops(operations)
     one_by_one = QueryService(fresh_db(), dynamic=True)
     transactional = QueryService(fresh_db(), dynamic=True)
-    one_by_one.count(CQ)
-    transactional.count(CQ)  # warm: the batch must hit the dynamic entry
+    one_by_one.cursor(CQ).count
+    transactional.cursor(CQ).count  # warm: the batch must hit the dynamic entry
 
     for op, relation, row in ops:
         getattr(one_by_one, op)(relation, row)
@@ -140,15 +140,15 @@ def test_service_transaction_matches_per_fact_service(operations, seed):
 
     fresh = list(CQIndex(CQ, transactional.database))
     n = len(fresh)
-    assert one_by_one.count(CQ) == transactional.count(CQ) == n
-    assert one_by_one.batch(CQ, range(n)) == fresh
-    assert transactional.batch(CQ, range(n)) == fresh
+    assert one_by_one.cursor(CQ).count == transactional.cursor(CQ).count == n
+    assert one_by_one.cursor(CQ).batch(range(n)) == fresh
+    assert transactional.cursor(CQ).batch(range(n)) == fresh
     if n:
         rng_a, rng_b = random.Random(seed), random.Random(seed)
         k = min(5, n)
-        assert transactional.sample(CQ, k, rng_a) == one_by_one.sample(CQ, k, rng_b)
-        for position, answer in enumerate(one_by_one.batch(CQ, range(n))):
-            assert transactional.position_of(CQ, answer) == position
+        assert transactional.cursor(CQ).sample(k, rng_a) == one_by_one.cursor(CQ).sample(k, rng_b)
+        for position, answer in enumerate(one_by_one.cursor(CQ).batch(range(n))):
+            assert transactional.cursor(CQ).position_of(answer) == position
     relevant = txn.result.effective.relations() & {"R", "S"}
     if txn.result.changed and relevant:
         stats = transactional.stats()

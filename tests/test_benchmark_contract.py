@@ -45,3 +45,13 @@ def test_every_tracing_target_resolves():
 
 def test_service_stats_keeps_the_fields_the_workloads_read():
     assert {"hits", "misses", "locked_reads"} <= set(ServiceStats._fields)
+
+
+def test_query_service_keeps_the_methods_the_benchmark_calls():
+    # paper_renum reads through cursor/index, the ingest and churn
+    # workloads write through apply/checkpoint/recover, and every workload
+    # reports stats().
+    from repro.service.query_service import QueryService
+
+    for name in ("cursor", "index", "stats", "apply", "checkpoint", "recover"):
+        assert callable(getattr(QueryService, name, None)), name

@@ -17,7 +17,7 @@ import threading
 import time
 
 from repro import Database, QueryService, Relation
-from repro.service.cache import IndexCache, canonical_query_key
+from repro.service.cache import canonical_query_key
 
 QUERY = "Q(a, b, c) :- R(a, b), S(b, c)"
 
@@ -55,7 +55,7 @@ def swap_generation(service, generation):
 
 def test_every_read_observes_exactly_one_published_version():
     service = build_service()
-    service.count(QUERY)  # warm the dynamic entry
+    service.cursor(QUERY).count  # warm the dynamic entry
     base_version = service.database.version
     errors = []
     done = threading.Event()
@@ -173,8 +173,7 @@ def test_cold_builds_under_churn_are_labelled_with_the_version_they_read():
     so whatever it overlaps — before the batch is published, between
     publication and the writer's walk, mid-walk — the answers it serves
     are one generation, and the generation of the version it reports."""
-    cache = IndexCache()
-    service = build_service(cache=cache)
+    service = build_service()
     database = service.database
     base_version = database.version
     # The same answers under three spellings: one slot per reader.
@@ -202,11 +201,11 @@ def test_cold_builds_under_churn_are_labelled_with_the_version_they_read():
             done.set()
 
     def cold_reader(query):
-        key = (database, canonical_query_key(service.resolve(query)))
+        key = canonical_query_key(service.resolve(query))
         reads = 0
         try:
             while not (done.is_set() and reads > 0):
-                cache.discard(key)
+                service._cache.discard(key)
                 started.append(query)
                 cursor = service.cursor(query)
                 view = cursor.pinned

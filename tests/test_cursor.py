@@ -6,12 +6,14 @@ import threading
 import pytest
 
 from repro import (
+    CQIndex,
     Cursor,
     Database,
     QueryService,
     Relation,
     ReproError,
     StaleCursorError,
+    parse_cq,
 )
 from repro.cli import main
 
@@ -28,22 +30,23 @@ CHAIN = "Q(a, b, c) :- R(a, b), S(b, c)"
 
 class TestCursorReads:
     def test_cursor_agrees_with_free_methods(self):
+        """Every cursor read equals the same read on a fresh static build."""
         service = QueryService(fresh_db())
         cursor = service.cursor(CHAIN)
+        oracle = CQIndex(parse_cq(CHAIN), service.database)
         assert isinstance(cursor, Cursor)
         n = cursor.count
-        assert n == service.count(CHAIN) == len(cursor)
-        assert cursor.get(0) == service.get(CHAIN, 0)
-        assert cursor.batch([2, 0, 2]) == service.batch(CHAIN, [2, 0, 2])
-        assert cursor.batch_range(1, 3) == service.batch_range(CHAIN, 1, 3)
+        assert n == oracle.count == len(cursor)
+        assert cursor.get(0) == oracle.access(0)
+        assert cursor.batch([2, 0, 2]) == oracle.batch([2, 0, 2])
+        assert cursor.batch_range(1, 3) == oracle.batch([1, 2])
         assert cursor.sample(2, random.Random(5)) == \
-            service.sample(CHAIN, 2, random.Random(5))
-        for position, answer in enumerate(cursor.batch(range(n))):
+            oracle.sample_many(2, random.Random(5))
+        for position, answer in enumerate(oracle.batch(range(n))):
             assert cursor.position_of(answer) == position
             assert answer in cursor
         assert (99, 99, 99) not in cursor
-        assert sorted(cursor.random_order(random.Random(1))) == \
-            sorted(cursor.batch(range(n)))
+        assert sorted(cursor.random_order(random.Random(1))) == sorted(oracle)
 
     def test_query_resolves_exactly_once(self):
         service = QueryService(fresh_db())
@@ -54,14 +57,14 @@ class TestCursorReads:
         assert cursor.query is resolved  # same parsed object throughout
         # One build and one probe per pinned version: the second read
         # serves from the pinned view without touching the cache again.
-        info = service.cache_info()
+        info = service.stats()
         assert info.misses == 1 and info.hits == 0
         assert service.stats().snapshot_reads == 2
         # A mutation re-pins (one more probe), then reads are probe-free.
         service.insert("R", (7, 10))
         cursor.count
         cursor.get(0)
-        assert service.cache_info().misses == 2  # static entry rebuilt
+        assert service.stats().misses == 2  # static entry rebuilt
         assert service.stats().locked_reads == 0
 
     def test_pages_cover_the_enumeration_in_order(self):
@@ -89,7 +92,7 @@ class TestCursorReads:
         assert answer in cursor
         assert (99, 99, 99) not in cursor
         # position_of still reports None (no inverted support) — the
-        # documented free-method contract.
+        # documented Cursor.position_of contract.
         assert cursor.position_of(answer) is None
 
     def test_cursor_duck_types_the_index_contract(self):
@@ -179,7 +182,7 @@ class TestCursorStaleness:
 class TestTransactions:
     def test_transaction_buffers_and_applies_once(self):
         service = QueryService(fresh_db(), dynamic=True)
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         version = service.database.version
         with service.transaction() as txn:
             txn.insert("R", (4, 10))
@@ -187,7 +190,7 @@ class TestTransactions:
             assert service.database.version == version  # nothing applied yet
         assert service.database.version == version + 1
         assert txn.result.inserted == 1 and txn.result.deleted == 1
-        assert service.count(CHAIN) == 5
+        assert service.cursor(CHAIN).count == 5
         assert service.stats().batched_updates == 1
 
     def test_transaction_rolls_back_on_exception(self):

@@ -171,7 +171,7 @@ class TestServiceApply:
         hot = QueryService(fresh_db(), dynamic=True)
         cold = QueryService(fresh_db(), dynamic=False)
         for service in (hot, cold):
-            service.count(self.CHAIN)
+            service.cursor(self.CHAIN).count
         delta_ops = [
             ("insert", "R", (4, 10)),
             ("delete", "S", (20, 200)),
@@ -179,9 +179,9 @@ class TestServiceApply:
         ]
         hot.apply(delta_ops)
         cold.apply(delta_ops)
-        n = hot.count(self.CHAIN)
-        assert n == cold.count(self.CHAIN)
-        assert hot.batch(self.CHAIN, range(n)) == cold.batch(self.CHAIN, range(n))
+        n = hot.cursor(self.CHAIN).count
+        assert n == cold.cursor(self.CHAIN).count
+        assert hot.cursor(self.CHAIN).batch(range(n)) == cold.cursor(self.CHAIN).batch(range(n))
         assert hot.stats().batched_updates == 1
         assert hot.stats().batched_update_ops == 3
         assert hot.stats().mutation_invalidations == 0
@@ -190,7 +190,7 @@ class TestServiceApply:
     def test_batch_churn_counts_one_event_per_batch(self):
         service = QueryService(fresh_db(), promote_after=2)
         for __ in range(2):
-            service.count(self.CHAIN)
+            service.cursor(self.CHAIN).count
             service.apply([
                 ("insert", "R", (100 + service.database.version, 10)),
                 ("insert", "R", (200 + service.database.version, 10)),
@@ -210,18 +210,9 @@ class TestServiceApply:
 
     def test_empty_and_noop_deltas_leave_cache_warm(self):
         service = QueryService(fresh_db())
-        service.count(self.CHAIN)
+        service.cursor(self.CHAIN).count
         result = service.apply([("insert", "R", (1, 10))])  # no-op
         assert not result.changed
         assert service.apply([]).changed is False
-        service.count(self.CHAIN)
-        assert service.cache_info().hits == 1
-
-    def test_update_profile_feeds_the_tuner(self):
-        service = QueryService(fresh_db(), dynamic=True)
-        service.count(self.CHAIN)
-        service.insert("R", (4, 10))
-        service.apply([("insert", "R", (5, 10)), ("delete", "R", (5, 10)),
-                       ("insert", "R", (6, 10)), ("insert", "R", (7, 10))])
-        profile = list(service.update_profile().values())
-        assert profile == [{"single_fact": 1, "batched": 1, "batched_ops": 2}]
+        service.cursor(self.CHAIN).count
+        assert service.stats().hits == 1

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.harness import (
     run_cumulative_renum_cq,
     run_mcucq,
-    run_mutation_requery,
     run_renum_cq,
     run_sampler,
     run_union_renum,
@@ -108,50 +107,6 @@ class TestHarness:
     def test_run_cumulative(self, tiny_tpch):
         run = run_cumulative_renum_cq(make_qa_qe(), tiny_tpch, rng=random.Random(0))
         assert run.answers == run.requested
-
-    def test_run_mutation_requery_dynamic_vs_rebuild(self):
-        from repro import Database, QueryService, Relation, parse_cq
-
-        def db():
-            return Database([
-                Relation("R", ("a", "b"), [(i, i % 3) for i in range(30)]),
-                Relation("S", ("b", "c"), [(i % 3, i) for i in range(12)]),
-            ])
-
-        query = parse_cq("Q(a, b, c) :- R(a, b), S(b, c)")
-        updates = [("insert", "R", (100 + i, i % 3)) for i in range(6)] + \
-                  [("delete", "R", (100 + i, i % 3)) for i in range(6)]
-        hot_db = db()
-        hot = run_mutation_requery(
-            query, hot_db, updates, service=QueryService(hot_db, dynamic=True))
-        cold_db = db()
-        cold = run_mutation_requery(
-            query, cold_db, updates, service=QueryService(cold_db, dynamic=False))
-        assert hot.requested == cold.requested == len(updates)
-        assert hot.answers == cold.answers  # same page sizes served
-        assert hot.extra["updates_in_place"] == len(updates)
-        assert hot.extra["invalidations"] == 0
-        assert cold.extra["updates_in_place"] == 0
-        assert cold.extra["invalidations"] == len(updates)
-
-    def test_run_mutation_requery_rejects_foreign_service(self):
-        from repro import Database, QueryService, Relation, parse_cq
-
-        database = Database([Relation("R", ("a", "b"), [(1, 2)])])
-        other = Database([Relation("R", ("a", "b"), [(1, 2)])])
-        with pytest.raises(ValueError):
-            run_mutation_requery(
-                parse_cq("Q(a, b) :- R(a, b)"), database, [],
-                service=QueryService(other))
-
-    def test_run_mutation_requery_rejects_unknown_operation(self):
-        from repro import Database, Relation, parse_cq
-
-        database = Database([Relation("R", ("a", "b"), [(1, 2)])])
-        with pytest.raises(ValueError):
-            run_mutation_requery(
-                parse_cq("Q(a, b) :- R(a, b)"), database,
-                [("upsert", "R", (3, 4))])
 
 
 class TestFigureDrivers:

@@ -213,7 +213,7 @@ def test_torn_write_is_discarded_on_reopen(tmp_path):
     assert wal_path.read_bytes() == payload_before
     recovered = QueryService.recover(tmp_path / "store")
     assert recovered.database.version == service.database.version
-    assert recovered.count(Q) == 3
+    assert recovered.cursor(Q).count == 3
 
 
 def test_torn_write_within_retry_budget_succeeds(tmp_path):
@@ -232,7 +232,7 @@ def test_torn_write_within_retry_budget_succeeds(tmp_path):
 
 def test_degraded_mode_sheds_writes_serves_reads_and_rearms(tmp_path):
     service = make_service(tmp_path, degraded_probe_interval=0.15)
-    assert service.count(Q) == 2
+    assert service.cursor(Q).count == 2
 
     faults.arm("wal.fsync", "error(ENOSPC)")
     with pytest.raises(ServiceDegradedError) as exc_info:
@@ -249,7 +249,7 @@ def test_degraded_mode_sheds_writes_serves_reads_and_rearms(tmp_path):
     assert faults.stats()["wal.fsync"]["fired"] == fired
 
     # Reads answer wait-free throughout.
-    assert service.count(Q) == 2
+    assert service.cursor(Q).count == 2
 
     # Probe against a still-dead device: stays degraded.
     time.sleep(0.2)
@@ -321,7 +321,7 @@ def test_checkpoint_transient_failure_is_retried(tmp_path):
 def test_blob_load_failure_degrades_to_lazy_rebuild(tmp_path):
     pytest.importorskip("numpy")
     service = make_service(tmp_path, store="flat")
-    assert service.count(Q) == 2
+    assert service.cursor(Q).count == 2
     service.checkpoint()  # persists the flat entry as a serve blob
 
     faults.arm("serve_blob.load", "error(EIO)")
@@ -331,7 +331,7 @@ def test_blob_load_failure_degrades_to_lazy_rebuild(tmp_path):
     # Recovery itself must succeed; the unreadable entry just was not
     # seeded and rebuilds on first use.
     assert recovered.storage.last_report.serve_entries_seeded == 0
-    assert recovered.count(Q) == 2
+    assert recovered.cursor(Q).count == 2
 
 
 # ---------------------------------------------------------------------- #

@@ -197,10 +197,10 @@ class TestServiceRecoveryUnderCrash:
             storage=tmp_path,
             dynamic=True,
         )
-        service.count(QUERY)
+        service.cursor(QUERY).count
         service.checkpoint()
         service.insert("S", (10, "y"))      # durable batch
-        durable_count = service.count(QUERY)
+        durable_count = service.cursor(QUERY).count
         service.insert("S", (20, "late"))   # this batch will be torn
         service.database.log.close()
 
@@ -209,7 +209,7 @@ class TestServiceRecoveryUnderCrash:
         wal_path.write_bytes(raw[:-4])      # tear the last record
 
         recovered = QueryService.recover(tmp_path, dynamic=True)
-        assert recovered.count(QUERY) == durable_count
+        assert recovered.cursor(QUERY).count == durable_count
         report = recovered.storage.last_report
         assert report.discarded_wal_records == 1
         assert report.serve_entries_seeded >= 1
@@ -253,7 +253,7 @@ class TestTornBlobCheckpoints:
         # record is trimmed at the checkpoint, so falling back to the
         # base checkpoint must not change the served answers).
         db.insert("E", (1, "boot"))                     # version base+1
-        service.count(QUERY)
+        service.cursor(QUERY).count
         service.checkpoint(keep=5)                      # blob ckpt, WAL trimmed
         db.insert("S", (20, "z"))                       # survives in the WAL
         expected = 3                                    # (1,10)x{x,y}, (2,20)x{z}
@@ -287,7 +287,7 @@ class TestTornBlobCheckpoints:
         report = service.storage.last_report
         assert report.checkpoint_version == base_version
         assert report.serve_entries_seeded == 0         # nothing stale served
-        assert service.count(QUERY) == expected
+        assert service.cursor(QUERY).count == expected
 
     def test_flipped_slab_byte_fails_the_checksum(self, tmp_path):
         base_version, newest, expected = self.make_blob_store(tmp_path)
@@ -299,7 +299,7 @@ class TestTornBlobCheckpoints:
         assert newest not in valid_checkpoints(tmp_path)
         service = QueryService.recover(tmp_path, store="flat")
         assert service.storage.last_report.checkpoint_version == base_version
-        assert service.count(QUERY) == expected
+        assert service.cursor(QUERY).count == expected
 
     def test_missing_blob_file_invalidates_checkpoint(self, tmp_path):
         base_version, newest, expected = self.make_blob_store(tmp_path)
@@ -309,7 +309,7 @@ class TestTornBlobCheckpoints:
         assert newest not in valid_checkpoints(tmp_path)
         service = QueryService.recover(tmp_path, store="flat")
         assert service.storage.last_report.checkpoint_version == base_version
-        assert service.count(QUERY) == expected
+        assert service.cursor(QUERY).count == expected
 
     def test_half_staged_blob_litter_is_invisible(self, tmp_path):
         __, newest, expected = self.make_blob_store(tmp_path)
@@ -329,4 +329,4 @@ class TestTornBlobCheckpoints:
         report = service.storage.last_report
         assert report.checkpoint_version == final_version
         assert report.serve_entries_seeded == 1         # the real blob loads
-        assert service.count(QUERY) == expected
+        assert service.cursor(QUERY).count == expected

@@ -142,7 +142,7 @@ def durable_service(tmp_path, database=None):
     service = QueryService(
         database or mixed_database(), storage=tmp_path, store="flat"
     )
-    expected = service.count(QUERY)
+    expected = service.cursor(QUERY).count
     return service, expected
 
 
@@ -187,22 +187,22 @@ class TestCheckpointBlobLane:
         service.database.log.close()
         recovered = QueryService.recover(tmp_path, store="flat")
         assert recovered.storage.last_report.serve_entries_seeded == 1
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected
 
     def test_recovery_is_mmap_and_go(self, tmp_path):
         service, expected = durable_service(tmp_path)
-        expected_page = service.page(QUERY, 2, page_size=3)
+        expected_page = service.cursor(QUERY).page(2, page_size=3)
         service.checkpoint()
         service.database.log.close()
 
         before = flat_store.TABLE_MATERIALIZATIONS
         recovered = QueryService.recover(tmp_path, store="flat")
         assert recovered.storage.last_report.serve_entries_seeded == 1
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected
         # Counting runs on the mmapped slabs alone: zero value tables
         # (i.e. zero per-row python objects) materialized so far.
         assert flat_store.TABLE_MATERIALIZATIONS == before
-        page = recovered.page(QUERY, 2, page_size=3)
+        page = recovered.cursor(QUERY).page(2, page_size=3)
         assert flat_store.TABLE_MATERIALIZATIONS > before
         assert page == expected_page
         for original, answer in zip(expected_page, page):
@@ -224,7 +224,7 @@ class TestCheckpointBlobLane:
         report = recovered.storage.last_report
         assert report.replayed_batches == 1
         assert report.serve_entries_seeded == 1
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected
 
     def test_recovered_service_can_checkpoint_again(self, tmp_path):
         service, expected = durable_service(tmp_path)
@@ -232,9 +232,9 @@ class TestCheckpointBlobLane:
         service.database.log.close()
 
         recovered = QueryService.recover(tmp_path, store="flat")
-        recovered.count(QUERY)
+        recovered.cursor(QUERY).count
         recovered.database.insert("R", (99, 10))
-        recovered.count(QUERY)  # rebuild the entry at the new version
+        recovered.cursor(QUERY).count  # rebuild the entry at the new version
         recovered.checkpoint()
         manifest = recovered.storage.last_manifest
         assert any(e["kind"] == "flat-blob" for e in manifest["entries"])
@@ -242,7 +242,7 @@ class TestCheckpointBlobLane:
 
         again = QueryService.recover(tmp_path, store="flat")
         assert again.storage.last_report.serve_entries_seeded == 1
-        assert again.count(QUERY) == expected + 2  # (99,10) joins both S rows
+        assert again.cursor(QUERY).count == expected + 2  # (99,10) joins both S rows
 
     def test_unpicklable_entry_is_skipped_and_counted(self, tmp_path):
         service, expected = durable_service(tmp_path)
@@ -263,7 +263,7 @@ class TestCheckpointBlobLane:
 
         recovered = QueryService.recover(tmp_path, store="flat")
         assert recovered.storage.last_report.serve_entries_seeded == 1
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected
         assert recovered.stats().checkpoint_skipped_entries == 0
 
     def test_overflow_fallback_rides_the_pickle_lane(self, tmp_path):
@@ -275,7 +275,7 @@ class TestCheckpointBlobLane:
             for i in range(10)
         ])
         service = QueryService(database, storage=tmp_path, store="flat")
-        expected = service.count(query)
+        expected = service.cursor(query).count
         assert expected == 100 ** 10
         service.checkpoint()
         manifest = service.storage.last_manifest
@@ -286,7 +286,7 @@ class TestCheckpointBlobLane:
 
         recovered = QueryService.recover(tmp_path, store="flat")
         assert recovered.storage.last_report.serve_entries_seeded == 1
-        assert recovered.count(query) == expected
+        assert recovered.cursor(query).count == expected
 
 
 class TestCLIReporting:
@@ -358,4 +358,4 @@ class TestCLIReporting:
         assert len(ckpt.serve_state) == 1
         recovered = QueryService.recover(tmp_path, store="flat")
         assert recovered.storage.last_report.serve_entries_seeded == 1
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected

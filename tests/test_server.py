@@ -165,6 +165,20 @@ class TestCursorReads:
         assert c.get(f"/cursors/{sid}/sample").status == 400
         assert c.get(f"/cursors/{sid}/position_of?answer=notjson").status == 400
 
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("store", ["tuple", "flat"])
+    @pytest.mark.parametrize(
+        "answer", ['[[1],10,"x"]', '[{"a":1},10,"x"]'], ids=["list", "object"]
+    )
+    def test_position_of_non_scalar_element_is_400(self, store, dynamic, answer):
+        c = client(store=store, dynamic=dynamic)
+        sid = open_cursor(c)["cursor"]
+        response = c.get(f"/cursors/{sid}/position_of?answer={answer}")
+        assert response.status == 400, response.text
+        # A scalar answer on the same cursor still resolves.
+        located = c.get(f"/cursors/{sid}/position_of?answer=[1,10,100]")
+        assert located.json()["position"] == 0
+
     def test_close_then_410_unknown_410_404_distinction(self):
         c = client()
         sid = open_cursor(c)["cursor"]

@@ -21,6 +21,7 @@ from repro import (
     parse_cq,
     parse_ucq,
 )
+from repro.apps.online_aggregation import estimate_mean_via_index
 from repro.database.relation import RelationError
 from repro.experiments.uniformity import chi_square_uniform
 from repro.service.cache import canonical_query_key
@@ -147,8 +148,7 @@ class TestIndexCacheLRU:
         like a fresh static build, so positions are checked against one.
         """
         db = fresh_db()
-        cache = IndexCache(capacity=3)
-        service = QueryService(db, cache=cache)
+        service = QueryService(db, cache_capacity=3)
         queries = [
             CHAIN,
             "Q(a) :- R(a, b), S(b, c)",
@@ -163,14 +163,14 @@ class TestIndexCacheLRU:
                 row = (rng.randrange(50) + 100, rng.randrange(5) * 10 + 10)
                 service.insert("R", (row[0], row[1]))
             expected = CQIndex(parse_cq(q), db)
-            assert service.count(q) == expected.count
+            assert service.cursor(q).count == expected.count
             if expected.count:
                 position = rng.randrange(expected.count)
-                answer = service.get(q, position)
+                answer = service.cursor(q).get(position)
                 assert answer == expected.access(position)
-                assert service.position_of(q, answer) == position
-            assert len(cache) <= 3
-            assert service.batch(q, range(service.count(q))) == \
+                assert service.cursor(q).position_of(answer) == position
+            assert service.stats().size <= 3
+            assert service.cursor(q).batch(range(service.cursor(q).count)) == \
                 expected.batch(range(expected.count))
 
 
@@ -180,16 +180,16 @@ class TestQueryServiceCaching:
         first = service.index(CHAIN)
         again = service.index(CHAIN)
         assert first is again
-        info = service.cache_info()
+        info = service.stats()
         assert info.hits == 1 and info.misses == 1
 
     def test_batch_page_sample_agree_with_index(self):
         service = QueryService(fresh_db())
         index = service.index(CHAIN)
         positions = [3, 0, 3, 1]
-        assert service.batch(CHAIN, positions) == [index.access(i) for i in positions]
-        assert service.page(CHAIN, 1, page_size=2) == index.batch([2, 3])
-        assert service.sample(CHAIN, 2, random.Random(5)) == index.sample_many(
+        assert service.cursor(CHAIN).batch(positions) == [index.access(i) for i in positions]
+        assert service.cursor(CHAIN).page(1, page_size=2) == index.batch([2, 3])
+        assert service.cursor(CHAIN).sample(2, random.Random(5)) == index.sample_many(
             2, random.Random(5)
         )
 
@@ -200,38 +200,41 @@ class TestQueryServiceCaching:
         ])
         service = QueryService(db)
         u = parse_ucq("Q(x, y) :- R(x, y) ; Q(x, y) :- T(x, y)")
-        assert service.count(u) == 3
-        assert sorted(service.batch(u, range(3))) == [(1, 2), (3, 4), (5, 6)]
+        assert service.cursor(u).count == 3
+        assert sorted(service.cursor(u).batch(range(3))) == [(1, 2), (3, 4), (5, 6)]
 
     def test_online_mean_uses_cached_index(self):
         service = QueryService(fresh_db())
         estimates = list(
-            service.online_mean(CHAIN, lambda t: t[2], rng=random.Random(3))
+            estimate_mean_via_index(
+                service.cursor(CHAIN).pinned, lambda t: t[2], rng=random.Random(3)
+            )
         )
-        assert estimates[-1].seen == service.count(CHAIN)
-        truth = sum(t[2] for t in service.batch(CHAIN, range(service.count(CHAIN))))
-        assert estimates[-1].mean == pytest.approx(truth / service.count(CHAIN))
-        assert service.cache_info().misses == 1
+        oracle = CQIndex(parse_cq(CHAIN), service.database)
+        assert estimates[-1].seen == oracle.count
+        truth = sum(t[2] for t in oracle)
+        assert estimates[-1].mean == pytest.approx(truth / oracle.count)
+        assert service.stats().misses == 1
 
 
 class TestInvalidationOnMutation:
     def test_insert_and_delete_refresh_results(self):
         service = QueryService(fresh_db())
-        assert service.count(CHAIN) == 4
+        assert service.cursor(CHAIN).count == 4
         assert service.insert("S", (30, 301))
-        assert service.count(CHAIN) == 5
+        assert service.cursor(CHAIN).count == 5
         assert service.delete("R", (1, 10))
-        assert service.count(CHAIN) == 3
+        assert service.cursor(CHAIN).count == 3
 
     def test_noop_mutations_keep_the_cache_warm(self):
         service = QueryService(fresh_db())
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         version = service.database.version
         assert not service.insert("R", (1, 10))       # already present
         assert not service.delete("R", (99, 99))      # absent
         assert service.database.version == version
-        service.count(CHAIN)
-        assert service.cache_info().hits == 1
+        service.cursor(CHAIN).count
+        assert service.stats().hits == 1
 
     def test_insert_arity_is_checked(self):
         service = QueryService(fresh_db())
@@ -259,8 +262,8 @@ class TestInvalidationOnMutation:
                 changed = service.delete(relation, arity2)
                 if changed:
                     dynamic.delete(relation, arity2)
-            assert service.count(full) == dynamic.count
-        assert sorted(service.batch(full, range(service.count(full)))) == sorted(dynamic)
+            assert service.cursor(full).count == dynamic.count
+        assert sorted(service.cursor(full)) == sorted(dynamic)
 
 
 class TestDynamicMutationPath:
@@ -275,13 +278,13 @@ class TestDynamicMutationPath:
         assert service.delete("R", (1, 10))
         assert service.index(CHAIN) is first  # same object, carried forward
         assert service.stats().in_place_updates == 2
-        assert service.cache_info().invalidations == 0
-        assert service.count(CHAIN) == 3
+        assert service.stats().invalidations == 0
+        assert service.cursor(CHAIN).count == 3
 
     def test_dynamic_never_used_when_disabled(self):
         service = QueryService(fresh_db(), dynamic=False, promote_after=1)
         for __ in range(5):
-            service.count(CHAIN)
+            service.cursor(CHAIN).count
             service.insert("R", (100 + service.database.version, 10))
         assert isinstance(service.index(CHAIN), CQIndex)
 
@@ -293,11 +296,11 @@ class TestDynamicMutationPath:
         promoted = service.index(CHAIN)
         assert isinstance(promoted, DynamicCQIndex)
         # From now on mutations update in place instead of invalidating.
-        invalidations = service.cache_info().invalidations
+        invalidations = service.stats().invalidations
         service.insert("R", (300, 20))
         assert service.index(CHAIN) is promoted
-        assert service.cache_info().invalidations == invalidations
-        assert service.count(CHAIN) == CQIndex(parse_cq(CHAIN), service.database).count
+        assert service.stats().invalidations == invalidations
+        assert service.cursor(CHAIN).count == CQIndex(parse_cq(CHAIN), service.database).count
 
     def test_non_full_queries_are_never_promoted(self):
         projected = "Q(a) :- R(a, b), S(b, c)"
@@ -306,7 +309,7 @@ class TestDynamicMutationPath:
         service.insert("R", (50, 10))
         # The static entry was dropped (not updatable), the rebuild is
         # correct, and it stays static no matter the churn.
-        assert service.count(projected) == 4
+        assert service.cursor(projected).count == 4
         assert isinstance(service.index(projected), CQIndex)
 
     def test_dynamic_and_rebuild_backed_services_agree_under_mutation(self):
@@ -325,31 +328,30 @@ class TestDynamicMutationPath:
                 assert hot.insert(relation, row) == cold.insert(relation, row)
             else:
                 assert hot.delete(relation, row) == cold.delete(relation, row)
-            assert hot.count(CHAIN) == cold.count(CHAIN)
-            n = hot.count(CHAIN)
-            assert hot.batch(CHAIN, range(n)) == cold.batch(CHAIN, range(n))
+            assert hot.cursor(CHAIN).count == cold.cursor(CHAIN).count
+            n = hot.cursor(CHAIN).count
+            assert hot.cursor(CHAIN).batch(range(n)) == cold.cursor(CHAIN).batch(range(n))
             if n:
-                pages = (n + 2) // 3
-                hot_pages = [t for p in range(pages) for t in hot.page(CHAIN, p, page_size=3)]
-                cold_pages = [t for p in range(pages) for t in cold.page(CHAIN, p, page_size=3)]
+                hot_pages = [t for page in hot.cursor(CHAIN).pages(3) for t in page]
+                cold_pages = [t for page in cold.cursor(CHAIN).pages(3) for t in page]
                 assert hot_pages == cold_pages
-                sample = hot.sample(CHAIN, min(5, n), random.Random(step))
-                assert sample == cold.sample(CHAIN, min(5, n), random.Random(step))
+                sample = hot.cursor(CHAIN).sample(min(5, n), random.Random(step))
+                assert sample == cold.cursor(CHAIN).sample(min(5, n), random.Random(step))
         assert hot.stats().in_place_updates > 0
 
     def test_live_paginator_follows_dynamic_updates(self):
         service = QueryService(fresh_db(), dynamic=True)
-        paginator = service.paginator(CHAIN, page_size=2)
-        first_before = paginator.page(0)
+        cursor = service.cursor(CHAIN)
+        first_before = cursor.page(0, page_size=2)
         backing = service.index(CHAIN)
         assert service.insert("S", (30, 999))
         assert service.index(CHAIN) is backing  # updated in place, not rebuilt
-        assert paginator.total_answers == 5
-        all_pages = [t for p in range(paginator.total_pages) for t in paginator.page(p)]
+        assert cursor.count == 5
+        all_pages = [t for page in cursor.pages(page_size=2) for t in page]
         assert (3, 30, 999) in all_pages
         # The new row landed at its canonical sort position (after every
         # b=10 answer), so the already-served first page is stable.
-        assert paginator.page(0) == first_before
+        assert cursor.page(0, page_size=2) == first_before
         # And the whole pagination equals a fresh static build's order.
         assert all_pages == CQIndex(parse_cq(CHAIN), service.database).batch(range(5))
 
@@ -370,7 +372,7 @@ class TestDynamicMutationPath:
         assert isinstance(service.index(CHAIN), CQIndex)
         # A write to a referenced relation still invalidates as usual.
         assert service.insert("R", (50, 10))
-        assert service.cache_info().invalidations == 1
+        assert service.stats().invalidations == 1
 
     def test_out_of_band_version_bump_drops_dynamic_entry(self):
         """A mutation not driven through the service leaves the cached
@@ -383,7 +385,7 @@ class TestDynamicMutationPath:
         assert service.insert("S", (30, 777))
         rebuilt = service.index(CHAIN)
         assert rebuilt is not entry
-        assert service.count(CHAIN) == 5
+        assert service.cursor(CHAIN).count == 5
 
 
 class TestCachedSamplingUniformity:
@@ -394,14 +396,14 @@ class TestCachedSamplingUniformity:
         from a *cached* index must be uniform over the answer set — the
         cache must not freeze any sampling state, only the structure."""
         service = QueryService(fresh_db())
-        n = service.count(CHAIN)
-        universe = service.batch(CHAIN, range(n))
+        n = service.cursor(CHAIN).count
+        universe = service.cursor(CHAIN).batch(range(n))
         counts = {answer: 0 for answer in universe}
         trials = 4000
         for seed in range(trials):
-            first = service.sample(CHAIN, 1, random.Random(seed))[0]
+            first = service.cursor(CHAIN).sample(1, random.Random(seed))[0]
             counts[first] += 1
         result = chi_square_uniform([counts[u] for u in universe])
         assert result.consistent_with_uniform(significance=0.001)
         # Every draw came through the one cached build.
-        assert service.cache_info().misses == 1
+        assert service.stats().misses == 1

@@ -15,7 +15,6 @@ from repro import CQIndex, Database, DynamicCQIndex, QueryService, Relation, par
 from repro.core.access_engine import SnapshotBucketStore
 from repro.core.order_tree import OrderedWeightTree
 from repro.core.union_access import MCUCQIndex
-from repro.service.cache import IndexCache
 from repro.service.cursor import StaleCursorError
 
 CHAIN = "Q(a, b, c) :- R(a, b), S(b, c)"
@@ -202,10 +201,10 @@ class TestServiceSnapshotReads:
 
     def test_stats_expose_snapshot_read_and_publish_counters(self):
         service = QueryService(fresh_db(), dynamic=True)
-        service.count(CHAIN)
-        service.page(CHAIN, 0, page_size=4)
+        service.cursor(CHAIN).count
+        service.cursor(CHAIN).page(0, page_size=4)
         service.insert("R", (400, 1))
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         stats = service.stats()
         assert stats.snapshot_reads >= 3
         assert stats.locked_reads == 0
@@ -222,7 +221,7 @@ class TestServiceSnapshotReads:
         reports *that* pair's version, not the in-flight one — then picks
         up the new pair on the first read after publication."""
         service = QueryService(fresh_db(), dynamic=True)
-        n0 = service.count(CHAIN)
+        n0 = service.cursor(CHAIN).count
         cursor = service.cursor(CHAIN)
         # The mid-apply window: version published, the slot still
         # publishing the previous version's pair.
@@ -266,22 +265,6 @@ class TestServiceSnapshotReads:
         assert view is index.snapshot and view is not views[cursor.version - 1]
         assert view.count == views[cursor.version - 1].count + 2
 
-    def test_services_sharing_a_cache_keep_one_slot_per_database(self):
-        """The cache key is ``(database, query key)``: two services over
-        different databases sharing one IndexCache never serve — or patch
-        — each other's slot for the same query text."""
-        cache = IndexCache(capacity=4)
-        small, big = fresh_db(), fresh_db()
-        big.insert("R", (903, 0))
-        one = QueryService(small, cache=cache, dynamic=True)
-        two = QueryService(big, cache=cache, dynamic=True)
-        assert (one.count(CHAIN), two.count(CHAIN)) == (18, 20)
-        assert len(cache) == 2
-        one.insert("R", (904, 1))
-        assert (one.count(CHAIN), two.count(CHAIN)) == (20, 20)
-        assert two.cursor(CHAIN).version == big.version
-        assert (one.stats().in_place_updates, two.stats().in_place_updates) == (1, 0)
-
     def test_cold_build_mid_write_is_labelled_with_the_version_it_was_built_from(
         self, frozen_write
     ):
@@ -291,7 +274,7 @@ class TestServiceSnapshotReads:
         slot already at the batch's version and leaves it alone — neither
         discarding it nor patching the batch in a second time."""
         service = QueryService(fresh_db(), dynamic=True)
-        n0 = service.count(CHAIN)  # the warm slot the frozen walk will patch
+        n0 = service.cursor(CHAIN).count  # the warm slot the frozen walk will patch
         cold = "Q(x, y, z) :- R(x, y), S(y, z)"  # same answers, its own slot
         with frozen_write(service, [("insert", "R", (905, 0))]):
             cursor = service.cursor(cold)
@@ -299,7 +282,7 @@ class TestServiceSnapshotReads:
             assert cursor.version == service.database.version
             built = cursor.pinned
         # The walk has run: the warm slot caught up, the cold one stood.
-        assert service.count(CHAIN) == n0 + 2
+        assert service.cursor(CHAIN).count == n0 + 2
         assert cursor.pinned is built and cursor.count == n0 + 2
         assert cursor.version == service.database.version
         stats = service.stats()
@@ -314,9 +297,9 @@ class TestServiceSnapshotReads:
         fresh, not serve that entry's (stale) snapshot."""
         db = fresh_db()
         service = QueryService(db, dynamic=True)
-        before = service.count(CHAIN)
+        before = service.cursor(CHAIN).count
         db.insert("R", (900, 0))  # out-of-band: bypasses the service
-        assert service.count(CHAIN) == before + 2
+        assert service.cursor(CHAIN).count == before + 2
 
 
 class TestDeltaAwarePromotionCredit:
@@ -325,12 +308,12 @@ class TestDeltaAwarePromotionCredit:
         effective op, so the threshold is crossed in one burst instead of
         promote_after separate mutations."""
         service = QueryService(fresh_db(), promote_after=3)
-        service.count(CHAIN)  # static build
+        service.cursor(CHAIN).count  # static build
         with service.transaction() as txn:
             for i in range(5):
                 txn.insert("R", (500 + i, i % 3))
         assert service.stats().promotions == 0
-        service.count(CHAIN)  # next build: promoted by one 5-op burst
+        service.cursor(CHAIN).count  # next build: promoted by one 5-op burst
         stats = service.stats()
         assert stats.promotions == 1 and stats.dynamic_builds == 1
 
@@ -341,11 +324,11 @@ class TestDeltaAwarePromotionCredit:
         db = fresh_db()
         db.add(Relation("Z", ("z",), [(0,)]))
         service = QueryService(db, promote_after=3)
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         with service.transaction() as txn:
             for i in range(10):
                 txn.insert("Z", (100 + i,))
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         stats = service.stats()
         assert stats.carried_forward == 1
         assert stats.promotions == 0 and stats.dynamic_builds == 0
@@ -353,8 +336,8 @@ class TestDeltaAwarePromotionCredit:
     def test_single_fact_mutations_keep_the_old_threshold(self):
         service = QueryService(fresh_db(), promote_after=3)
         for i in range(3):
-            service.count(CHAIN)
+            service.cursor(CHAIN).count
             service.insert("R", (600 + i, i % 3))
-        service.count(CHAIN)
+        service.cursor(CHAIN).count
         stats = service.stats()
         assert stats.promotions == 1

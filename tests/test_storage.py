@@ -420,17 +420,17 @@ class TestServiceDurability:
 
     def test_recover_round_trips_answers(self, tmp_path):
         service = QueryService(make_database(), storage=tmp_path, dynamic=True)
-        before = service.count(QUERY)
+        before = service.cursor(QUERY).count
         service.insert("S", (20, "w"))
         service.checkpoint()
         service.apply(
             Delta(database=service.database).insert("R", (3, 20)).delete("S", (10, "x"))
         )
-        expected = service.count(QUERY)
+        expected = service.cursor(QUERY).count
         assert expected != before
 
         recovered = QueryService.recover(tmp_path, dynamic=True)
-        assert recovered.count(QUERY) == expected
+        assert recovered.cursor(QUERY).count == expected
         assert recovered.database.version == service.database.version
         report = recovered.storage.last_report
         assert report.replayed_batches == 1
@@ -438,7 +438,7 @@ class TestServiceDurability:
 
     def test_recover_seeds_serve_state(self, tmp_path):
         service = QueryService(make_database(), storage=tmp_path)
-        service.count(QUERY)  # build the index the checkpoint will carry
+        service.cursor(QUERY).count  # build the index the checkpoint will carry
         service.checkpoint()
 
         recovered = QueryService.recover(tmp_path)
@@ -446,20 +446,20 @@ class TestServiceDurability:
         assert report.serve_entries_seeded >= 1
         # The answer comes from the seeded index: serving the query after
         # recovery adds no cache miss (no fresh O(|D|) build).
-        misses_after_recovery = recovered.cache_info().misses
-        assert recovered.count(QUERY) == service.count(QUERY)
-        assert recovered.cache_info().misses == misses_after_recovery
+        misses_after_recovery = recovered.stats().misses
+        assert recovered.cursor(QUERY).count == service.cursor(QUERY).count
+        assert recovered.stats().misses == misses_after_recovery
 
     def test_recovered_service_keeps_serving_through_writes(self, tmp_path):
         service = QueryService(make_database(), storage=tmp_path, dynamic=True)
-        service.count(QUERY)
+        service.cursor(QUERY).count
         service.checkpoint()
         service.insert("S", (20, "w"))
 
         recovered = QueryService.recover(tmp_path, dynamic=True)
-        assert recovered.count(QUERY) == service.count(QUERY)
+        assert recovered.cursor(QUERY).count == service.cursor(QUERY).count
         recovered.insert("S", (20, "v"))
-        assert recovered.count(QUERY) == service.count(QUERY) + 1
+        assert recovered.cursor(QUERY).count == service.cursor(QUERY).count + 1
 
     def test_dynamic_union_is_checkpointed_and_absorbs_the_tail(
         self, tmp_path, store
@@ -473,7 +473,7 @@ class TestServiceDurability:
         service = QueryService(
             database, storage=tmp_path, dynamic=True, store=store
         )
-        service.count(union)
+        service.cursor(union).count
         service.checkpoint()
         assert service.storage.last_manifest["skipped_entries"] == 0
         service.insert("T", (10, "x"))
@@ -489,8 +489,8 @@ class TestServiceDurability:
         # The seeded union absorbed the replayed tail in place (no build).
         assert recovered.stats().dynamic_builds == 0
         fresh = list(MCUCQIndex(parse_ucq(union), recovered.database))
-        assert recovered.batch(union, range(len(fresh))) == fresh
-        assert recovered.count(union) == len(fresh)
+        assert recovered.cursor(union).batch(range(len(fresh))) == fresh
+        assert recovered.cursor(union).count == len(fresh)
         assert recovered.stats().dynamic_builds == 0
 
     def test_checkpoints_serialize_with_a_concurrent_writer(self, tmp_path):
@@ -499,7 +499,7 @@ class TestServiceDurability:
         lands under a concurrent append, each checkpoint is of exactly
         one version, and recovery lands on the last acknowledged batch."""
         service = QueryService(make_database(), storage=tmp_path, dynamic=True)
-        service.count(QUERY)  # serve-state for the checkpoints to pickle
+        service.cursor(QUERY).count  # serve-state for the checkpoints to pickle
         database = service.database
 
         def generation_rows(generation):
@@ -562,7 +562,7 @@ class TestServiceDurability:
         # The checkpointed index objects must actually pickle (they carry
         # no open handles); guard against a future unpicklable field.
         service = QueryService(make_database(), storage=tmp_path)
-        service.count(QUERY)
+        service.cursor(QUERY).count
         state = service._serve_state(service.database.version)
         assert state
         for __, entry in state:

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro import (
+    CQIndex,
     Database,
     DynamicCQIndex,
     MCUCQIndex,
@@ -163,14 +164,14 @@ class TestServiceUnionPromotion:
         service = QueryService(fresh_db(), dynamic=True)
         entry = service.index(UNION)
         assert isinstance(entry, MCUCQIndex) and entry.dynamic
-        count = service.count(UNION)
+        count = service.cursor(UNION).count
         assert service.insert("S", (20, 5))
         assert service.index(UNION) is entry  # absorbed, not rebuilt
-        assert service.count(UNION) == count + 1
+        assert service.cursor(UNION).count == count + 1
         assert service.stats().in_place_updates == 1
         # Served answers equal a cold rebuild, position for position.
         cold = MCUCQIndex(service.resolve(UNION), service.database)
-        assert service.batch(UNION, range(cold.count)) == \
+        assert service.cursor(UNION).batch(range(cold.count)) == \
             cold.batch(range(cold.count))
 
     def test_union_promotion_after_churn(self):
@@ -196,7 +197,7 @@ class TestServiceUnionPromotion:
         assert service.insert("S", (10, 77))
         rebuilt = service.index(projected)
         assert rebuilt is not entry  # invalidated, correctly rebuilt
-        assert service.count(projected) == 3
+        assert service.cursor(projected).count == 3
 
 
 class TestTombstoneCompaction:
@@ -274,7 +275,7 @@ class TestWriteSafety:
         batch is coherent."""
         service = QueryService(fresh_db(), dynamic=True)
         query = "Q(a, b, c) :- R(a, b), S(b, c)"
-        service.count(query)  # warm the dynamic entry
+        service.cursor(query).count  # warm the dynamic entry
         errors = []
         stop = threading.Event()
 
@@ -294,7 +295,7 @@ class TestWriteSafety:
                     # page() clamps to the count of the same pinned
                     # snapshot it reads, so a write landing mid-read
                     # cannot turn the page into an out-of-bound request.
-                    page = service.page(query, 0, page_size=10)
+                    page = service.cursor(query).page(0, page_size=10)
                     assert len(page) <= 10
             except Exception as exc:  # pragma: no cover - the failure mode
                 errors.append(exc)
@@ -312,8 +313,8 @@ class TestWriteSafety:
         from repro.core.cq_index import CQIndex
 
         fresh = CQIndex(service.resolve(query), service.database)
-        assert service.count(query) == fresh.count
-        assert service.batch(query, range(fresh.count)) == \
+        assert service.cursor(query).count == fresh.count
+        assert service.cursor(query).batch(range(fresh.count)) == \
             fresh.batch(range(fresh.count))
 
 
@@ -323,14 +324,14 @@ class TestStatsSurface:
         db.add(Relation("U", ("x",), [(1,)]))
         service = QueryService(db, promote_after=1)
         chain = "Q(a, b, c) :- R(a, b), S(b, c)"
-        service.count(chain)
+        service.cursor(chain).count
         stats = service.stats()
         assert stats.static_builds == 1 and stats.dynamic_builds == 0
         service.insert("U", (2,))  # unreferenced: carried forward
         assert service.stats().carried_forward == 1
         service.insert("R", (9, 10))  # referenced: invalidates, churn +1
         assert service.stats().mutation_invalidations == 1
-        service.count(chain)  # churn ≥ 1 → promoted dynamic build
+        service.cursor(chain).count  # churn ≥ 1 → promoted dynamic build
         stats = service.stats()
         assert stats.promotions == 1 and stats.dynamic_builds == 1
         service.insert("R", (10, 10))  # absorbed in place now
@@ -342,38 +343,19 @@ class TestStatsSurface:
         query = "Q(a, b) :- R(a, b)"
         db = Database([Relation("R", ("a", "b"), [])])
         service = QueryService(db, dynamic=True)
-        service.count(query)
+        service.cursor(query).count
         for i in range(100):
             service.insert("R", (i, 0))
         for i in range(100):
             service.delete("R", (i, 0))
         assert service.stats().compactions > 0
 
-    def test_stats_compactions_ignore_foreign_entries_in_shared_cache(self):
-        from repro.service.cache import IndexCache
-
-        query = "Q(a, b) :- R(a, b)"
-        cache = IndexCache(capacity=8)
-        busy = QueryService(
-            Database([Relation("R", ("a", "b"), [])]), cache=cache, dynamic=True
-        )
-        quiet = QueryService(
-            Database([Relation("R", ("a", "b"), [(1, 1)])]), cache=cache, dynamic=True
-        )
-        busy.count(query)
-        quiet.count(query)
-        for i in range(100):
-            busy.insert("R", (i, 0))
-        for i in range(100):
-            busy.delete("R", (i, 0))
-        assert busy.stats().compactions > 0
-        assert quiet.stats().compactions == 0  # not billed for busy's work
-
     def test_batch_range_clamps_to_current_count(self):
         service = QueryService(fresh_db(), dynamic=True)
         query = "Q(a, b, c) :- R(a, b), S(b, c)"
-        n = service.count(query)
-        assert service.batch_range(query, 0, n + 50) == \
-            service.batch(query, range(n))
-        assert service.batch_range(query, n, n + 5) == []
-        assert service.batch_range(query, -3, 2) == service.batch(query, range(2))
+        cursor = service.cursor(query)
+        n = cursor.count
+        expected = CQIndex(parse_cq(query), service.database).batch(range(n))
+        assert cursor.batch_range(0, n + 50) == expected
+        assert cursor.batch_range(n, n + 5) == []
+        assert cursor.batch_range(-3, 2) == expected[:2]
