@@ -75,7 +75,8 @@ class Paginator:
         """Which page contains ``answer``? ``None`` if it is not an answer.
 
         Needs the index to provide inverted access (CQ indexes do; the
-        union index does not — there it returns ``None``)."""
+        union index does not — there it returns ``None``, and a cursor over
+        a union raises ``ValueError``)."""
         inverted = getattr(self.index, "inverted_access", None)
         if inverted is None:
             return None

@@ -6,9 +6,8 @@ Module map (paper artifact → module):
 * Algorithm 1 (lazy Fisher–Yates shuffle)          → :mod:`repro.core.shuffle`
 * Proposition 4.2 (free-connex → full acyclic)     → :mod:`repro.core.reduction`
 * Algorithm 2 (preprocessing: buckets & weights)   → :mod:`repro.core.index`
-* Algorithms 3–4 walks (shared, both bucket stores) → :mod:`repro.core.access_engine`
-* Algorithm 3 (random access)                      → :mod:`repro.core.index`
-* Algorithm 4 (inverted access)                    → :mod:`repro.core.index`
+* Algorithms 3–4 (random / inverted access) and the
+  one read surface every forest index serves through → :mod:`repro.core.access_engine`
 * Theorem 4.3 public entry point                   → :mod:`repro.core.cq_index`
 * Theorem 4.3 under updates (dynamic index)        → :mod:`repro.core.dynamic`
 * Order maintenance for dynamic buckets            → :mod:`repro.core.order_tree`

@@ -9,12 +9,12 @@ What differs is only the **bucket primitive**: the static index resolves
 offsets with a binary search over prefix-sum arrays
 (:class:`repro.core.index._Bucket`), the dynamic index with an
 order-maintained weighted tree
-(:class:`repro.core.dynamic._DynamicBucket`). Before this module existed,
-the ~150-line batched walk was duplicated between
-``JoinForestIndex.batch_access`` and ``DynamicCQIndex.batch``; now both —
-plus scalar access, inverted access, in-order enumeration, and the order
-rank Algorithm 8 needs (:func:`rank_walk`) — drive the walks below
-through the :class:`BucketStore` protocol.
+(:class:`repro.core.dynamic._DynamicBucket`). Scalar access, the batched
+walk, inverted access, in-order enumeration, and the order rank
+Algorithm 8 needs (:func:`rank_walk`) are written once below, over the
+:class:`BucketStore` protocol, and :class:`EngineServingMixin` is the one
+read surface over them: the static :class:`~repro.core.cq_index.CQIndex`,
+the live dynamic forest and its published snapshots all serve through it.
 
 Node protocol
 -------------
@@ -31,6 +31,7 @@ path (see ``batch_walk``).
 
 from __future__ import annotations
 
+import random
 from typing import (
     Callable,
     Dict,
@@ -45,6 +46,7 @@ from typing import (
 
 from repro.database.relation import row_sort_key as _row_sort_key
 from repro.core import flat_store as _flat_store
+from repro.core.errors import OutOfBoundError
 
 try:  # numpy ships with this environment (scipy depends on it); the sort
     import numpy as _np  # of a large batch is ~10× faster through argsort.
@@ -216,7 +218,12 @@ def vector_batch(
     vector win under :data:`repro.core.flat_store.VECTOR_MIN` positions.
     Bounds are the caller's responsibility, as in :func:`batch_walk`.
     """
-    if _np is None or not roots or len(indices) < _flat_store.VECTOR_MIN:
+    if (
+        _np is None
+        or not roots
+        or len(indices) < _flat_store.VECTOR_MIN
+        or getattr(roots[0], "flat", None) is None
+    ):
         return None
     return _flat_store.flat_batch(roots, indices, project)
 
@@ -686,3 +693,144 @@ def _children_assignments(node, row: tuple, child_position: int, acc):
     child_key = node.child_bucket_key(row, child_position)
     for assignment in _node_assignments(child, child_key, acc):
         yield from _children_assignments(node, row, child_position + 1, assignment)
+
+
+# ---------------------------------------------------------------------- #
+# The read surface of every forest-shaped index                           #
+# ---------------------------------------------------------------------- #
+
+
+class EngineServingMixin:
+    """The engine-driven read surface over ``roots`` + ``head_variables``.
+
+    Shared by the static :class:`~repro.core.cq_index.CQIndex`, the live
+    :class:`~repro.core.dynamic.DynamicJoinForest` (writer-side reads) and
+    the immutable :class:`~repro.core.dynamic.IndexSnapshot` (lock-free
+    reader side): all expose the same forest-node protocol to the walks
+    above, so count / access / batch / inverted access / rank and ordered
+    and random-order enumeration are written once.
+    """
+
+    roots: Sequence
+    head_variables: Tuple[str, ...]
+
+    @property
+    def count(self) -> int:
+        return forest_count(self.roots)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def access(self, index: int) -> tuple:
+        """The answer at ``index`` of the enumeration order (Algorithm 3).
+
+        Raises :class:`~repro.core.errors.OutOfBoundError` outside
+        ``[0, count)`` — the paper's "out-of-bound" message, which
+        Theorem 3.7's binary search relies on.
+        """
+        count = self.count
+        if index < 0 or index >= count:
+            raise OutOfBoundError(index, count)
+        assignment: Dict[str, object] = {}
+        scalar_walk(self.roots, index, assignment)
+        return tuple(assignment[name] for name in self.head_variables)
+
+    def batch(self, indices: Sequence[int]) -> List[tuple]:
+        """The answers at ``indices`` — ``[self.access(i) for i in indices]``.
+
+        The request may be unsorted, contain duplicates, and be a list, a
+        ``range`` or an int64 ndarray; the result is aligned with it. Flat
+        roots resolve it through the columnar kernel (:func:`vector_batch`);
+        any other store through :func:`batch_walk`, which sorts the
+        positions once and shares root-to-leaf resolution across adjacent
+        ones. Raises :class:`~repro.core.errors.OutOfBoundError` if any
+        position is outside ``[0, count)``, before resolving anything.
+        """
+        if not len(indices):
+            return []
+        count = self.count
+        if isinstance(indices, range):
+            # O(1) bounds for pagination sweeps: builtins.min would walk
+            # the whole range in the interpreter.
+            low, high = ((indices[0], indices[-1]) if indices.step > 0
+                         else (indices[-1], indices[0]))
+        elif _np is not None and isinstance(indices, _np.ndarray):
+            low, high = int(indices.min()), int(indices.max())
+        else:
+            low, high = min(indices), max(indices)
+        if low < 0 or high >= count:
+            for index in indices:
+                if index < 0 or index >= count:
+                    raise OutOfBoundError(index, count)
+        head = self.head_variables
+        vectorized = vector_batch(self.roots, indices, head)
+        if vectorized is not None:
+            return vectorized
+        if _np is not None and isinstance(indices, _np.ndarray):
+            # The walk compares and hashes positions tuple by tuple; unbox
+            # once so it never touches numpy integers.
+            indices = indices.tolist()
+        out: List[tuple] = [()] * len(indices)
+        acc: Dict[str, object] = {}
+        finish = make_batch_finish(out, acc, head)
+        batch_walk(self.roots, sorted_items(indices), acc, finish)
+        return out
+
+    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
+        """The first ``min(k, count)`` draws of :meth:`random_order`.
+
+        Element-for-element (and randomness-for-randomness) equal to ``k``
+        sequential draws from a seeded
+        :class:`~repro.core.permutation.RandomPermutationEnumerator`; the
+        positions come from one
+        :func:`~repro.core.shuffle.sample_positions` draw, then a single
+        batched access serves them all. Draws are without replacement.
+        """
+        from repro.core.shuffle import sample_positions
+
+        return self.batch(sample_positions(self.count, k, rng))
+
+    def random_order(self, rng: Optional[random.Random] = None):
+        """REnum (Theorem 3.7): the answers in uniformly random order. Over
+        an immutable view the stream is immune to concurrent writes; over
+        the live dynamic forest, mutate-while-consuming has
+        container-resize semantics — pin a snapshot instead.
+        """
+        from repro.core.permutation import RandomPermutationEnumerator
+
+        return iter(RandomPermutationEnumerator(self, rng=rng))
+
+    def ensure_inverted_support(self) -> None:
+        """Build what :meth:`inverted_access` needs (idempotent). A no-op
+        here — dynamic buckets keep their rank support up to date; the
+        static index overrides it to build its lazy rank tables."""
+
+    def inverted_access(self, answer: tuple) -> Optional[int]:
+        """The position of ``answer`` (Algorithm 4), or ``None`` — the
+        paper's "not-a-member" — when it is not an answer."""
+        if len(answer) != len(self.head_variables) or self.count == 0:
+            return None
+        self.ensure_inverted_support()
+        return inverted_walk(self.roots, dict(zip(self.head_variables, answer)))
+
+    def __contains__(self, answer: tuple) -> bool:
+        """Membership test via inverted access (the paper's ``Test``)."""
+        return self.inverted_access(tuple(answer)) is not None
+
+    def rank_not_after(self, answer: tuple) -> int:
+        """How many answers of this version do not succeed ``answer`` in
+        the canonical global order; ``answer`` need not be one of them
+        (see :func:`rank_walk`)."""
+        if len(answer) != len(self.head_variables):
+            raise ValueError(
+                f"expected a {len(self.head_variables)}-tuple, got {answer!r}"
+            )
+        return rank_walk(self.roots, dict(zip(self.head_variables, answer)))
+
+    def __iter__(self) -> Iterator[tuple]:
+        """Enumerate in index order — the canonical global order."""
+        if self.count == 0:
+            return
+        head = self.head_variables
+        for assignment in enumerate_walk(self.roots):
+            yield tuple(assignment[name] for name in head)

@@ -1,7 +1,10 @@
 """Theorem 4.3 — the public random-access index for free-connex CQs.
 
-``CQIndex`` packages Proposition 4.2's reduction with Algorithms 2–4 behind
-a tuple-level interface: after linear-time construction it supports
+``CQIndex`` packages Proposition 4.2's reduction with Algorithm 2's
+preprocessing (:class:`~repro.core.index.JoinForestIndex`) and serves
+through :class:`~repro.core.access_engine.EngineServingMixin`, the read
+surface every forest-shaped index shares. After linear-time construction
+it supports
 
 * ``len(index)`` / ``index.count`` — the answer count ``|Q(D)|`` in O(1);
 * ``index.access(i)`` — the *i*-th answer (head-ordered tuple) in O(log n);
@@ -13,17 +16,18 @@ a tuple-level interface: after linear-time construction it supports
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.database.database import Database
 from repro.query.cq import ConjunctiveQuery
 
-from repro.core.index import JoinForestIndex
+from repro.core.access_engine import EngineServingMixin
+from repro.core.errors import IncompatibleUnionError
+from repro.core.index import JoinForestIndex, _IndexNode
 from repro.core.reduction import reduce_to_full_acyclic
 
 
-class CQIndex:
+class CQIndex(EngineServingMixin):
     """A linear-preprocessing random-access structure for a free-connex CQ.
 
     Parameters
@@ -92,74 +96,20 @@ class CQIndex:
         overflow fallback even when ``"flat"`` was requested)."""
         return self._forest.store
 
-    # ------------------------------------------------------------------ #
-    # Counting                                                            #
-    # ------------------------------------------------------------------ #
+    @property
+    def roots(self) -> List[_IndexNode]:
+        """The join-forest roots the engine walks."""
+        return self._forest.roots
 
     @property
     def count(self) -> int:
         """``|Q(D)|`` — available in O(1) after preprocessing."""
         return self._forest.count
 
-    def __len__(self) -> int:
-        return self.count
-
-    # ------------------------------------------------------------------ #
-    # Random access (Algorithm 3) and inverted access (Algorithm 4)       #
-    # ------------------------------------------------------------------ #
-
-    def access(self, index: int) -> tuple:
-        """The answer at ``index`` of the enumeration order (0-based).
-
-        Raises :class:`~repro.core.errors.OutOfBoundError` outside
-        ``[0, count)``.
-        """
-        assignment = self._forest.access(index)
-        return tuple(assignment[name] for name in self.head_variables)
-
-    def batch(self, indices: Sequence[int]) -> List[tuple]:
-        """The answers at ``indices`` — ``[self.access(i) for i in indices]``.
-
-        The request may be unsorted and contain duplicates; the result is
-        aligned with it. Amortized via
-        :meth:`~repro.core.index.JoinForestIndex.batch_access`: positions
-        are served in sorted order so that root-to-leaf walks, bucket
-        binary searches, and parent-tuple resolutions are shared across
-        adjacent positions. Raises
-        :class:`~repro.core.errors.OutOfBoundError` if any position is
-        outside ``[0, count)``.
-        """
-        return self._forest.batch_access(indices, project=self.head_variables)
-
-    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
-        """The first ``min(k, count)`` draws of :meth:`random_order`.
-
-        Exactly equal — element for element, and in randomness consumed —
-        to ``k`` sequential draws from a
-        :class:`~repro.core.permutation.RandomPermutationEnumerator` seeded
-        with the same ``rng``: the positions come from one
-        :func:`~repro.core.shuffle.sample_positions` draw (the lazy
-        Fisher–Yates stream, replayed vectorized), then a single batched
-        access serves them all. Draws are without replacement.
-        """
-        from repro.core.shuffle import sample_positions
-
-        return self.batch(sample_positions(self.count, k, rng))
-
-    def inverted_access(self, answer: tuple) -> Optional[int]:
-        """The position of ``answer``, or ``None`` when not an answer."""
-        if len(answer) != len(self.head_variables):
-            return None
-        assignment = dict(zip(self.head_variables, answer))
-        if len(assignment) != len(self.head_variables):
-            # Repeated head variables cannot occur (CQ heads are distinct),
-            # so this is unreachable; kept as a guard.
-            return None
-        return self._forest.inverted_access(assignment)
-
-    def __contains__(self, answer: tuple) -> bool:
-        """Membership test via inverted access (the paper's ``Test``)."""
-        return self.inverted_access(tuple(answer)) is not None
+    def ensure_inverted_support(self) -> None:
+        """Eagerly build the inverted-access tables (otherwise built on the
+        first :meth:`inverted_access`)."""
+        self._forest.ensure_inverted_support()
 
     def rank_not_after(self, answer: tuple) -> int:
         """How many answers of this index do not succeed ``answer`` in the
@@ -168,33 +118,22 @@ class CQIndex:
         ``answer`` need not be an answer of *this* query — any head tuple
         of an index over the same shape ranks (the mc-UCQ machinery ranks
         a member's answers in the intersection indexes this way, one
-        descent each). Refused on ``sort_buckets=False`` indexes.
+        descent each). Raises :class:`IncompatibleUnionError` on an index
+        built with ``sort_buckets=False``: its order restricts no global
+        order, so the rank of a foreign answer is undefined.
         """
-        if len(answer) != len(self.head_variables):
-            raise ValueError(
-                f"expected a {len(self.head_variables)}-tuple, got {answer!r}"
+        if not self._forest.sort_buckets:
+            raise IncompatibleUnionError(
+                "rank_not_after needs canonically sorted buckets; this index "
+                "was built with sort_buckets=False and has no global order"
             )
-        return self._forest.rank_not_after(dict(zip(self.head_variables, answer)))
+        return super().rank_not_after(answer)
 
-    def ensure_inverted_support(self) -> None:
-        """Eagerly build the inverted-access tables (otherwise lazy)."""
-        self._forest.ensure_inverted_support()
-
-    # ------------------------------------------------------------------ #
-    # Enumeration                                                         #
-    # ------------------------------------------------------------------ #
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Enumerate the answers in index order (no repetitions)."""
-        head = self.head_variables
-        for assignment in self._forest.enumerate_in_order():
-            yield tuple(assignment[name] for name in head)
-
-    def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
-        """REnum(CQ): the answers in uniformly random order (Theorem 3.7)."""
-        from repro.core.permutation import RandomPermutationEnumerator
-
-        return iter(RandomPermutationEnumerator(self, rng=rng))
+    # The layered benchmark's tracer wraps these by name in vars(CQIndex);
+    # binding the mixin's own function keeps one span per call.
+    batch = EngineServingMixin.batch  # traced: static engine walk
+    sample_many = EngineServingMixin.sample_many  # traced: static engine walk
+    inverted_access = EngineServingMixin.inverted_access  # traced: static engine walk
 
     def __repr__(self) -> str:
         return f"CQIndex({self.query.name}, count={self.count})"

@@ -15,10 +15,10 @@ for **full acyclic joins** (the class all six benchmark queries belong to):
   buckets are grouped and bulk-inserted, and bucket-total changes
   multiply up the ancestor chain once per dirty bucket. ``insert`` /
   ``delete`` are one-op batches through the same pass, O(depth · log);
-* ``batch`` / ``sample_many`` / ``random_order`` — the same amortized
-  serving surface as :class:`~repro.core.cq_index.CQIndex`, driven through
-  the shared :mod:`~repro.core.access_engine` walks, so the query service
-  can route requests to either index interchangeably.
+* every read comes from
+  :class:`~repro.core.access_engine.EngineServingMixin`, the read surface
+  the static :class:`~repro.core.cq_index.CQIndex` serves through too, so
+  the query service can route requests to either index interchangeably.
 
 Design notes
 ------------
@@ -69,7 +69,6 @@ atom normalization and base-fact routing.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
@@ -78,7 +77,8 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.free_connex import free_connex_report
 
 from repro.core import access_engine, flat_store
-from repro.core.errors import NotFreeConnexError, OutOfBoundError
+from repro.core.access_engine import EngineServingMixin
+from repro.core.errors import NotFreeConnexError
 from repro.core.order_tree import OrderedWeightTree, TreeRow
 from repro.core.reduction import ReducedJoin, ReducedNode, reduce_to_full_acyclic
 
@@ -303,131 +303,6 @@ class _DynamicNode:
                 return 0
             weight *= bucket.total
         return weight
-
-
-class EngineServingMixin:
-    """The engine-driven read surface over ``roots`` + ``head_variables``.
-
-    Shared by the live :class:`DynamicJoinForest` (writer-side reads) and
-    the immutable :class:`IndexSnapshot` (lock-free reader-side): both
-    expose the same forest-node protocol to
-    :mod:`repro.core.access_engine`, so count / access / batch / inverted
-    access / ordered and random-order enumeration are written once.
-    """
-
-    roots: Sequence
-    head_variables: Tuple[str, ...]
-
-    @property
-    def count(self) -> int:
-        return access_engine.forest_count(self.roots)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def access(self, index: int) -> tuple:
-        if index < 0 or index >= self.count:
-            raise OutOfBoundError(index, self.count)
-        assignment: Dict[str, object] = {}
-        access_engine.scalar_walk(self.roots, index, assignment)
-        return tuple(assignment[name] for name in self.head_variables)
-
-    def batch(self, indices: Sequence[int]) -> List[tuple]:
-        """The answers at ``indices`` — ``[self.access(i) for i in indices]``.
-
-        The request may be unsorted and contain duplicates; the result is
-        aligned with it. Amortized through the shared
-        :func:`~repro.core.access_engine.batch_walk`, exactly like
-        :meth:`~repro.core.index.JoinForestIndex.batch_access` — the only
-        difference is the bucket store (order-statistic descents instead
-        of binary searches, and no weight-1 leaf shortcut: dynamic leaf
-        buckets hold zero-weight tombstones). Raises
-        :class:`~repro.core.errors.OutOfBoundError` if any position is
-        outside ``[0, count)``, before resolving anything.
-        """
-        if hasattr(indices, "tolist"):
-            # sample_positions may hand over an int64 ndarray; the scalar
-            # walk wants plain ints (comparisons, dict keys), so unbox once.
-            indices = indices.tolist()
-        # Every slot is overwritten before returning (the bound check below
-        # is all-or-nothing), so placeholder empty tuples keep the element
-        # type honest.
-        out: List[tuple] = [()] * len(indices)
-        if not indices:
-            return out
-        count = self.count
-        if min(indices) < 0 or max(indices) >= count:
-            for index in indices:
-                if index < 0 or index >= count:
-                    raise OutOfBoundError(index, count)
-        acc: Dict[str, object] = {}
-        finish = access_engine.make_batch_finish(out, acc, self.head_variables)
-        access_engine.batch_walk(
-            self.roots, access_engine.sorted_items(indices), acc, finish
-        )
-        return out
-
-    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
-        """The first ``min(k, count)`` draws of :meth:`random_order`.
-
-        Element-for-element (and randomness-for-randomness) equal to ``k``
-        sequential draws from a seeded
-        :class:`~repro.core.permutation.RandomPermutationEnumerator`; the
-        positions come from one
-        :func:`~repro.core.shuffle.sample_positions` draw, then a single
-        batched access serves them all. Draws are without replacement.
-        """
-        from repro.core.shuffle import sample_positions
-
-        return self.batch(sample_positions(self.count, k, rng))
-
-    def random_order(self, rng: Optional[random.Random] = None):
-        """REnum over this version's contents: answers in uniform random
-        order. Over an :class:`IndexSnapshot` the stream is immune to
-        concurrent writes; over the live forest, mutate-while-consuming
-        has container-resize semantics — pin a snapshot instead.
-        """
-        from repro.core.permutation import RandomPermutationEnumerator
-
-        return iter(RandomPermutationEnumerator(self, rng=rng))
-
-    def ensure_inverted_support(self) -> None:
-        """No-op: dynamic buckets keep their rank support up to date.
-
-        Present for interface parity with
-        :meth:`~repro.core.cq_index.CQIndex.ensure_inverted_support`, so
-        service-layer callers need not special-case the backing index.
-        """
-
-    def inverted_access(self, answer: tuple) -> Optional[int]:
-        if len(answer) != len(self.head_variables) or self.count == 0:
-            return None
-        assignment = dict(zip(self.head_variables, answer))
-        return access_engine.inverted_walk(self.roots, assignment)
-
-    def __contains__(self, answer: tuple) -> bool:
-        """Membership test via inverted access (the paper's ``Test``)."""
-        return self.inverted_access(tuple(answer)) is not None
-
-    def rank_not_after(self, answer: tuple) -> int:
-        """How many answers of this version do not succeed ``answer`` in
-        the canonical global order; ``answer`` need not be one of them
-        (see :func:`repro.core.access_engine.rank_walk`)."""
-        if len(answer) != len(self.head_variables):
-            raise ValueError(
-                f"expected a {len(self.head_variables)}-tuple, got {answer!r}"
-            )
-        return access_engine.rank_walk(
-            self.roots, dict(zip(self.head_variables, answer))
-        )
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Enumerate in index order — the canonical global order."""
-        if self.count == 0:
-            return
-        head = self.head_variables
-        for assignment in access_engine.enumerate_walk(self.roots):
-            yield tuple(assignment[name] for name in head)
 
 
 class _SnapshotNode:

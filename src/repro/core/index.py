@@ -1,31 +1,24 @@
-"""Algorithms 2–4: the random-access index over a full acyclic join forest.
+"""Algorithm 2: the preprocessing of the random-access index over a full
+acyclic join forest.
 
-* **Algorithm 2 (preprocessing)** partitions every relation into buckets
-  keyed by ``pAtts`` (the attributes shared with the parent), computes for
-  each tuple ``t`` a weight ``w(t)`` — the number of answers of the subtree
-  rooted at its node that agree with ``t`` — and assigns each tuple the
-  index range ``[startIndex(t), startIndex(t) + w(t))`` within its bucket.
-  The weight of the root bucket is the answer count.
+Algorithm 2 partitions every relation into buckets keyed by ``pAtts``
+(the attributes shared with the parent), computes for each tuple ``t`` a
+weight ``w(t)`` — the number of answers of the subtree rooted at its node
+that agree with ``t`` — and assigns each tuple the index range
+``[startIndex(t), startIndex(t) + w(t))`` within its bucket. The weight of
+the root bucket is the answer count.
 
-* **Algorithm 3 (random access)** walks root-to-leaf: binary search locates
-  the tuple whose range contains the requested index, and ``SplitIndex``
-  distributes the remaining offset over the children the way a
-  multidimensional array index is split (the last child takes the modulus).
+A query whose reduced join has several connected components gets one tree
+per component; the global index is split/combined across the roots exactly
+like across children of a single node.
 
-* **Algorithm 4 (inverted access)** walks the same tree guided by a
-  candidate answer instead of an index, recombining child offsets with
-  ``CombineIndex`` (the inverse of ``SplitIndex``); it returns the unique
-  position the answer occupies in the enumeration order, or ``None``
-  (“not-a-member”) when the tuple is not an answer.
-
-The forest generalization: a query whose reduced join has several connected
-components gets one tree per component; the global index is split/combined
-across the roots exactly like across children of a single node.
-
-The walks themselves live in :mod:`repro.core.access_engine`, shared with
-the dynamic index: this module contributes the *static* bucket store —
-plain prefix-sum arrays resolved by binary search, the exact ``startIndex``
-layout of Algorithm 2 — and the Algorithm-2 preprocessing that fills it.
+This module contributes the *static* bucket store — plain prefix-sum
+arrays resolved by binary search, the exact ``startIndex`` layout of
+Algorithm 2 — and the preprocessing that fills it. The walks over it
+(Algorithm 3's random access, Algorithm 4's inverted access, enumeration
+and the order rank) live in :mod:`repro.core.access_engine`, and
+:class:`~repro.core.cq_index.CQIndex` serves them through
+:class:`~repro.core.access_engine.EngineServingMixin`.
 
 Enumeration order: with ``sort_buckets=True`` (default) every bucket holds
 its tuples in canonical sorted order, which makes the enumeration order of
@@ -37,16 +30,10 @@ mc-UCQ compatibility requirements of Section 5.2.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.database.relation import Relation, row_sort_key
 from repro.core import access_engine, flat_store
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - optional acceleration
-    _np = None
-from repro.core.errors import IncompatibleUnionError, OutOfBoundError
 from repro.core.reduction import ReducedJoin, ReducedNode
 
 
@@ -180,12 +167,13 @@ class _IndexNode:
 
 
 class JoinForestIndex:
-    """The Theorem 4.3 data structure over a reduced full acyclic join.
+    """Algorithm 2's buckets and weights over a reduced full acyclic join.
 
-    Provides O(1) counting, O(log n) random access, and (after
-    :meth:`ensure_inverted_support`) O(1)-per-node inverted access. Answers
-    are reported as assignments — dictionaries from variable name to value;
-    the head-tuple packaging lives in :class:`repro.core.cq_index.CQIndex`.
+    ``roots`` is the annotated forest the engine walks and ``count`` the
+    answer count. Reads are served by :class:`repro.core.cq_index.CQIndex`
+    (and the samplers walk ``roots`` directly); this class only builds, and
+    builds the inverted-access rank tables on demand
+    (:meth:`ensure_inverted_support`).
     """
 
     def __init__(
@@ -242,76 +230,7 @@ class JoinForestIndex:
             node.buckets[key] = bucket
 
     # ------------------------------------------------------------------ #
-    # Algorithm 3 — random access (scalar and batched, via the engine)    #
-    # ------------------------------------------------------------------ #
-
-    def access(self, index: int) -> Dict[str, object]:
-        """The assignment at ``index`` in the enumeration order.
-
-        Raises :class:`OutOfBoundError` outside ``[0, count)`` — the paper's
-        “out-of-bound” message, which Theorem 3.7's binary search relies on.
-        """
-        if index < 0 or index >= self.count:
-            raise OutOfBoundError(index, self.count)
-        assignment: Dict[str, object] = {}
-        access_engine.scalar_walk(self.roots, index, assignment)
-        return assignment
-
-    def batch_access(
-        self, indices: Sequence[int], project: Optional[Sequence[str]] = None
-    ) -> List[object]:
-        """The answers at ``indices``, one per requested position.
-
-        Semantically equal to ``[self.access(i) for i in indices]`` (the
-        result is aligned with the request, which may be unsorted and may
-        contain duplicates), but amortized through
-        :func:`repro.core.access_engine.batch_walk`: the requested
-        positions are sorted once, and the root-to-leaf walk is shared
-        across positions that resolve through the same tuples.
-
-        With ``project`` (a sequence of variable names) each result is the
-        tuple of those variables' values instead of a full assignment dict —
-        the head-tuple fast path used by
-        :meth:`~repro.core.cq_index.CQIndex.batch`, which skips one dict
-        copy per answer.
-
-        Raises :class:`OutOfBoundError` (like :meth:`access`) if *any*
-        requested position is outside ``[0, count)`` — the batch is
-        all-or-nothing, checked before any position is resolved.
-        """
-        if not len(indices):
-            return []
-        count = self.count
-        if isinstance(indices, range):
-            # O(1) bounds for pagination sweeps: builtins.min would walk
-            # the whole range in the interpreter.
-            low, high = ((indices[0], indices[-1]) if indices.step > 0
-                         else (indices[-1], indices[0]))
-        elif _np is not None and isinstance(indices, _np.ndarray):
-            low, high = int(indices.min()), int(indices.max())
-        else:
-            low, high = min(indices), max(indices)
-        if low < 0 or high >= count:
-            for index in indices:
-                if index < 0 or index >= count:
-                    raise OutOfBoundError(index, count)
-        vectorized = access_engine.vector_batch(self.roots, indices, project)
-        if vectorized is not None:
-            return vectorized
-        if _np is not None and isinstance(indices, _np.ndarray):
-            # The scalar walk compares and hashes positions tuple-by-tuple;
-            # unbox once so it never touches numpy integers.
-            indices = indices.tolist()
-        out: List[object] = [None] * len(indices)
-        acc: Dict[str, object] = {}
-        finish = access_engine.make_batch_finish(out, acc, project)
-        access_engine.batch_walk(
-            self.roots, access_engine.sorted_items(indices), acc, finish
-        )
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Algorithm 4 — inverted access                                       #
+    # Algorithm 4's rank tables (built lazily)                            #
     # ------------------------------------------------------------------ #
 
     def ensure_inverted_support(self) -> None:
@@ -322,41 +241,3 @@ class JoinForestIndex:
                     for bucket in node.buckets.values():
                         bucket.build_rank()
             self._inverted_ready = True
-
-    def inverted_access(self, assignment: Dict[str, object]) -> Optional[int]:
-        """The index of ``assignment`` in the enumeration order, or ``None``.
-
-        ``None`` is the paper's “not-a-member” outcome: the assignment is
-        not an answer of the query.
-        """
-        if self.count == 0:
-            return None
-        self.ensure_inverted_support()
-        return access_engine.inverted_walk(self.roots, assignment)
-
-    def rank_not_after(self, assignment: Dict[str, object]) -> int:
-        """How many answers do not succeed ``assignment`` in the global
-        order — :func:`repro.core.access_engine.rank_walk`. The assignment
-        need not be an answer of this index.
-
-        Raises :class:`IncompatibleUnionError` on an index built with
-        ``sort_buckets=False``: its order restricts no global order, so
-        the rank of a foreign assignment is undefined.
-        """
-        if not self.sort_buckets:
-            raise IncompatibleUnionError(
-                "rank_not_after needs canonically sorted buckets; this index "
-                "was built with sort_buckets=False and has no global order"
-            )
-        return access_engine.rank_walk(self.roots, assignment)
-
-    # ------------------------------------------------------------------ #
-    # Ordered enumeration (Fact 3.5: access gives Enum⟨lin, log⟩; the      #
-    # engine's direct generator avoids the per-answer binary searches)    #
-    # ------------------------------------------------------------------ #
-
-    def enumerate_in_order(self) -> Iterator[Dict[str, object]]:
-        """Yield all assignments in enumeration-order (index order)."""
-        if self.count == 0:
-            return
-        yield from access_engine.enumerate_walk(self.roots)

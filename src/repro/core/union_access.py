@@ -53,9 +53,9 @@ from repro.query.ucq import UnionOfConjunctiveQueries
 
 from repro.core.cq_index import CQIndex
 from repro.core.errors import IncompatibleUnionError, OutOfBoundError
-from repro.core.index import JoinForestIndex
 from repro.core.reduction import ReducedJoin, ReducedNode, reduce_to_full_acyclic
-from repro.core.shuffle import LazyShuffle, sample_positions
+from repro.core.permutation import RandomPermutationEnumerator
+from repro.core.shuffle import sample_positions
 
 #: Guard against the 2^m intersection-index blow-up of Lemma A.2.
 MAX_UNION_MEMBERS = 12
@@ -213,9 +213,6 @@ class UnionRandomAccess:
         """``|S_0 ∪ … ∪ S_{m−1}|`` (inclusion–exclusion, O(2^m) counts)."""
         return self._suffix_count[0]
 
-    def __len__(self) -> int:
-        return self.count
-
     def access(self, index: int) -> tuple:
         """The ``index``-th element of the union's enumeration order."""
         if index < 0 or index >= self.count:
@@ -301,10 +298,6 @@ class UnionRandomAccess:
             for sign, index in self._terms[position]
         )
 
-    def __iter__(self) -> Iterator[tuple]:
-        for index in range(self.count):
-            yield self.access(index)
-
 
 def _in_some(members: Sequence, answer: tuple) -> bool:
     """The paper's ``Test`` against a union: one inverted access per
@@ -358,11 +351,89 @@ def enumerate_union(members: Sequence) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------- #
+# The read surface of both union views                                    #
+# ---------------------------------------------------------------------- #
+
+
+class UnionServingMixin:
+    """The read surface over ``_union``, a :class:`UnionRandomAccess`.
+
+    Shared by :class:`MCUCQIndex` (static, or the live dynamic family) and
+    the immutable :class:`UnionIndexSnapshot`. The union surface offers no
+    inverted access; membership (``answer in view``) is the paper's
+    ``Test``, one inverted access per member.
+    """
+
+    _union: UnionRandomAccess
+
+    @property
+    def count(self) -> int:
+        """``|Q(D)|`` of the union, via inclusion–exclusion."""
+        return self._union.count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def access(self, index: int) -> tuple:
+        """Random access into the union's Durand–Strozecki order.
+
+        Theorem 5.5 states O(log²): its ``Largest`` binary-searches every
+        ``T_{ℓ,I}`` through an access plus an inverted access per probe.
+        Here compatibility is constructive, so each of the ``2^m`` terms
+        is one order-rank descent of ``T`` — O(depth · log bucket) — and a
+        call costs O(2^m · log) (see the module notes).
+        """
+        return self._union.access(index)
+
+    def batch(self, indices: Sequence[int]) -> List[tuple]:
+        """The union answers at ``indices``, aligned with the request.
+
+        Equal to ``[self.access(i) for i in indices]``, but resolved by
+        :meth:`UnionRandomAccess.batch`: distinct positions once, level by
+        level, one member ``batch`` per level — so the positions of a page
+        or a sample share member descents like a CQ batch does.
+        """
+        return self._union.batch(indices)
+
+    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
+        """The first ``min(k, count)`` draws of :meth:`random_order`.
+
+        Randomness-compatible with ``k`` sequential draws from
+        :meth:`random_order` under the same seeded ``rng``; served by one
+        vectorized shuffle plus one deduplicated batch.
+        """
+        return self.batch(sample_positions(self.count, k, rng))
+
+    def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
+        """REnum(mcUCQ): a uniformly random permutation of the union.
+
+        Fisher–Yates (Algorithm 1) over :meth:`access` — guaranteed (not
+        just expected) polylogarithmic delay.
+        """
+        return iter(RandomPermutationEnumerator(self, rng=rng))
+
+    def __iter__(self) -> Iterator[tuple]:
+        """Enumerate in the union's order (Algorithm 6)."""
+        return enumerate_union(self._union.members)
+
+    def __contains__(self, answer: tuple) -> bool:
+        """Membership (the paper's ``Test``): one inverted access per
+        member — without it ``in`` would enumerate the union."""
+        return tuple(answer) in self._union
+
+    def ensure_inverted_support(self) -> None:
+        """Build the members' inverted-access support, which membership
+        and Algorithm 7 run on (idempotent)."""
+        for member in self._union.members:
+            member.ensure_inverted_support()
+
+
+# ---------------------------------------------------------------------- #
 # Snapshot publication (lock-free reads over the whole 2^m family)        #
 # ---------------------------------------------------------------------- #
 
 
-class UnionIndexSnapshot:
+class UnionIndexSnapshot(UnionServingMixin):
     """One published, immutable version of a dynamic mc-UCQ index.
 
     Holds the pinned :class:`~repro.core.dynamic.IndexSnapshot` of every
@@ -401,34 +472,11 @@ class UnionIndexSnapshot:
             self.member_snapshots, self.intersection_snapshots, tables=tables
         )
 
-    @property
-    def count(self) -> int:
-        return self._union.count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def access(self, index: int) -> tuple:
-        return self._union.access(index)
-
-    def batch(self, indices: Sequence[int]) -> List[tuple]:
-        return self._union.batch(indices)
-
-    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
-        return self.batch(sample_positions(self.count, k, rng))
-
-    def __iter__(self) -> Iterator[tuple]:
-        return enumerate_union(self.member_snapshots)
-
-    def __contains__(self, answer: tuple) -> bool:
-        """Membership (the paper's ``Test``): one inverted access per
-        member — without it ``in`` would enumerate the union."""
-        return tuple(answer) in self._union
-
-    def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
-        shuffle = LazyShuffle(self.count, rng)
-        for position in shuffle:
-            yield self.access(position)
+    # The layered benchmark's tracer wraps these by name in
+    # vars(UnionIndexSnapshot); binding the mixin's own function keeps one
+    # span per call.
+    batch = UnionServingMixin.batch  # traced: pinned union engine walk
+    sample_many = UnionServingMixin.sample_many  # traced: pinned union engine walk
 
     def __repr__(self) -> str:
         return (f"UnionIndexSnapshot(version={self.version}, "
@@ -440,7 +488,7 @@ class UnionIndexSnapshot:
 # ---------------------------------------------------------------------- #
 
 
-class MCUCQIndex:
+class MCUCQIndex(UnionServingMixin):
     """Random access and random-order enumeration for an mc-UCQ.
 
     Builds, per Lemma A.2, one :class:`~repro.core.cq_index.CQIndex`-style
@@ -708,62 +756,10 @@ class MCUCQIndex:
         self._snapshot = snapshot  # the atomic publication point
         return snapshot
 
-    @property
-    def count(self) -> int:
-        """``|Q(D)|`` of the union, via inclusion–exclusion."""
-        return self._union.count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def access(self, index: int) -> tuple:
-        """Random access into the union's Durand–Strozecki order.
-
-        Theorem 5.5 states O(log²): its ``Largest`` binary-searches every
-        ``T_{ℓ,I}`` through an access plus an inverted access per probe.
-        Here compatibility is constructive, so each of the ``2^m`` terms
-        is one order-rank descent of ``T`` — O(depth · log bucket) — and a
-        call costs O(2^m · log) (see the module notes).
-        """
-        return self._union.access(index)
-
-    def batch(self, indices: Sequence[int]) -> List[tuple]:
-        """The union answers at ``indices``, aligned with the request.
-
-        Equal to ``[self.access(i) for i in indices]``, but resolved by
-        :meth:`UnionRandomAccess.batch`: distinct positions once, level by
-        level, one member ``batch`` per level — so the positions of a page
-        or a sample share member descents like a CQ batch does.
-        """
-        return self._union.batch(indices)
-
-    def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
-        """The first ``min(k, count)`` draws of :meth:`random_order`.
-
-        Randomness-compatible with ``k`` sequential draws from
-        :meth:`random_order` under the same seeded ``rng``; served by one
-        vectorized shuffle plus one deduplicated batch.
-        """
-        return self.batch(sample_positions(self.count, k, rng))
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Enumerate in the union's order (Algorithm 6)."""
-        return enumerate_union(self.member_indexes)
-
-    def __contains__(self, answer: tuple) -> bool:
-        """Membership (the paper's ``Test``): one inverted access per
-        member — without it ``in`` would enumerate the union."""
-        return tuple(answer) in self._union
-
-    def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
-        """REnum(mcUCQ): a uniformly random permutation of the union.
-
-        Fisher–Yates (Algorithm 1) over :meth:`access` — guaranteed (not
-        just expected) polylogarithmic delay.
-        """
-        shuffle = LazyShuffle(self.count, rng)
-        for position in shuffle:
-            yield self.access(position)
+    # The layered benchmark's tracer wraps these by name in vars(MCUCQIndex);
+    # binding the mixin's own function keeps one span per call.
+    batch = UnionServingMixin.batch  # traced: union engine walk
+    sample_many = UnionServingMixin.sample_many  # traced: union engine walk
 
     def __repr__(self) -> str:
         return f"MCUCQIndex({self.ucq.name}, count={self.count})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core import access_engine
 from repro.core.index import JoinForestIndex
 
 from repro.sampling.base import JoinSampler
@@ -31,5 +32,8 @@ class ExactWeightSampler(JoinSampler):
         return self._index.count == 0
 
     def _try_sample(self) -> Optional[Dict[str, object]]:
-        position = self.rng.randrange(self._index.count)
-        return self._index.access(position)
+        assignment: Dict[str, object] = {}
+        access_engine.scalar_walk(
+            self._index.roots, self.rng.randrange(self._index.count), assignment
+        )
+        return assignment

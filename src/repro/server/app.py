@@ -689,13 +689,8 @@ class ReproApp:
             )
 
         def read(cursor):
-            view = cursor.pinned
-            version = cursor.version
-            inverted = getattr(view, "inverted_access", None)
-            position = (
-                inverted(tuple(answer)) if inverted is not None else None
-            )
-            return {"position": position, "version": version}
+            position = cursor.position_of(tuple(answer))
+            return {"position": position, "version": cursor.version}
 
         return self._read(session_id, read, charge=1)
 

@@ -276,12 +276,15 @@ class Cursor:
     sample_many = sample
 
     def position_of(self, answer: tuple) -> Optional[int]:
-        """The enumeration position of ``answer``, or ``None`` (inverted
-        access, Algorithm 4); ``None`` also for indexes without inverted
-        support (the union index)."""
+        """The enumeration position of ``answer``, or ``None`` when it is
+        not an answer (inverted access, Algorithm 4).
+
+        Raises ``ValueError`` on a view without inverted access (the union
+        index): a ``None`` there would read as "not an answer".
+        """
         inverted = getattr(self._view(), "inverted_access", None)
         if inverted is None:
-            return None
+            raise ValueError("inverted access is not available for union queries")
         return inverted(tuple(answer))
 
     def inverted_access(self, answer: tuple) -> Optional[int]:

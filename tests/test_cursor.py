@@ -26,6 +26,41 @@ def fresh_db() -> Database:
 
 
 CHAIN = "Q(a, b, c) :- R(a, b), S(b, c)"
+UNION = "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- R(a, b), T(b, c)"
+
+
+def wide_db() -> Database:
+    """Enough answers (> VECTOR_MIN) for the flat kernel to take a batch,
+    and a union whose members overlap."""
+    return Database([
+        Relation("R", ("a", "b"), [(a, a % 4) for a in range(16)]),
+        Relation("S", ("b", "c"), [(b, 10 * b + i) for b in range(4) for i in range(3)]),
+        Relation("T", ("b", "c"), [(b, 10 * b + i) for b in range(1, 4) for i in (2, 5)]),
+    ])
+
+
+def _dynamic_union():
+    from repro import MCUCQIndex, parse_ucq
+
+    return MCUCQIndex(parse_ucq(UNION), wide_db(), dynamic=True)
+
+
+def _dynamic_cq():
+    from repro import DynamicCQIndex
+
+    return DynamicCQIndex(parse_cq(CHAIN), wide_db())
+
+
+#: View kind → a built view, or a cursor whose pinned view is that kind.
+READ_VIEWS = {
+    "CQIndex-tuple": lambda: QueryService(wide_db(), store="tuple", dynamic=False).cursor(CHAIN),
+    "CQIndex-flat": lambda: QueryService(wide_db(), store="flat", dynamic=False).cursor(CHAIN),
+    "DynamicCQIndex": _dynamic_cq,
+    "IndexSnapshot": lambda: QueryService(wide_db(), dynamic=True).cursor(CHAIN),
+    "MCUCQIndex-static": lambda: QueryService(wide_db(), dynamic=False).cursor(UNION),
+    "MCUCQIndex-dynamic": _dynamic_union,
+    "UnionIndexSnapshot": lambda: QueryService(wide_db(), dynamic=True).cursor(UNION),
+}
 
 
 class TestCursorReads:
@@ -91,21 +126,62 @@ class TestCursorReads:
         answer = cursor.get(0)
         assert answer in cursor
         assert (99, 99, 99) not in cursor
-        # position_of still reports None (no inverted support) — the
-        # documented Cursor.position_of contract.
-        assert cursor.position_of(answer) is None
+        # position_of refuses (no inverted support) instead of answering
+        # None, which would read as "not an answer".
+        with pytest.raises(ValueError, match="union"):
+            cursor.position_of(answer)
 
-    def test_cursor_duck_types_the_index_contract(self):
-        service = QueryService(fresh_db())
-        cursor = service.cursor(CHAIN)
-        index = service.index(CHAIN)
-        assert cursor.access(1) == index.access(1)
-        assert cursor.sample_many(2, random.Random(3)) == \
-            index.sample_many(2, random.Random(3))
-        assert cursor.inverted_access(index.access(2)) == 2
-        assert list(cursor) == list(index)
-        cursor.ensure_inverted_support()  # must not raise
-        assert cursor.index is index
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_union_cursor_ensures_inverted_support(self, dynamic):
+        """Regression: the union views had no ensure_inverted_support, so
+        the cursor's raised AttributeError."""
+        cursor = QueryService(wide_db(), dynamic=dynamic).cursor(UNION)
+        cursor.ensure_inverted_support()
+        assert cursor.get(0) in cursor
+
+    @pytest.mark.parametrize("kind", sorted(READ_VIEWS))
+    def test_cursor_duck_types_the_index_contract(self, kind, monkeypatch):
+        """Every view kind serves one read surface; a cursor pinning it
+        serves the same answers."""
+        from repro.core import access_engine
+        from repro.core.errors import OutOfBoundError
+
+        np = pytest.importorskip("numpy")
+        built = READ_VIEWS[kind]()
+        views = [built]
+        if isinstance(built, Cursor):
+            views.append(built.pinned)
+            assert type(built.pinned).__name__ == kind.split("-")[0]
+        for view in views:
+            n = view.count
+            assert n > 40 and len(view) == n
+            wanted = [n - 1, 0, 7, 7, n // 2, 0] + list(range(3, n, 5))
+            expected = [view.access(i) for i in wanted]
+            assert view.batch(wanted) == expected
+            assert view.batch(np.array(wanted, dtype=np.int64)) == expected
+            every = view.batch(range(n))
+            assert every == [view.access(i) for i in range(n)]
+            assert list(view) == every
+            for seed in (1, 2):
+                drawn, streamed = random.Random(seed), random.Random(seed)
+                stream = view.random_order(streamed)
+                first = [next(stream) for __ in range(n // 2)]
+                assert view.sample_many(n // 2, drawn) == first
+                assert drawn.getstate() == streamed.getstate()
+            assert every[n // 3] in view and list(every[-1]) in view
+            assert (-1, -1, -1) not in view
+            view.ensure_inverted_support()
+
+            def resolved(*args):
+                raise AssertionError("resolved before the bound check")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(access_engine, "batch_walk", resolved)
+                patch.setattr(access_engine, "vector_batch", resolved)
+                for bad in ([0, n], [-1, 1], range(n - 1, n + 1)):
+                    with pytest.raises(OutOfBoundError):
+                        view.batch(bad)
+        assert views[0].batch(range(views[0].count)) == every
 
 
 class TestCursorStaleness:

@@ -179,6 +179,17 @@ class TestCursorReads:
         located = c.get(f"/cursors/{sid}/position_of?answer=[1,10,100]")
         assert located.json()["position"] == 0
 
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_position_of_on_a_union_cursor_is_400(self, dynamic):
+        """Regression: a union has no inverted access, and the endpoint
+        answered 200 ``null`` — "not an answer" — for answers it serves."""
+        c = client(dynamic=dynamic)
+        sid = open_cursor(c, UNION)["cursor"]
+        served = c.get(f"/cursors/{sid}/batch?positions=3").json()["answers"][0]
+        response = c.get(f"/cursors/{sid}/position_of?answer={json.dumps(served)}")
+        assert response.status == 400, response.text
+        assert "union" in response.json()["error"]
+
     def test_close_then_410_unknown_410_404_distinction(self):
         c = client()
         sid = open_cursor(c)["cursor"]
