@@ -139,8 +139,20 @@ class TestCursorReads:
         cursor.ensure_inverted_support()
         assert cursor.get(0) in cursor
 
+    def test_cursor_duck_types_the_index_contract(self):
+        service = QueryService(fresh_db())
+        cursor = service.cursor(CHAIN)
+        index = service.index(CHAIN)
+        assert cursor.access(1) == index.access(1)
+        assert cursor.sample_many(2, random.Random(3)) == \
+            index.sample_many(2, random.Random(3))
+        assert cursor.inverted_access(index.access(2)) == 2
+        assert list(cursor) == list(index)
+        cursor.ensure_inverted_support()  # must not raise
+        assert cursor.index is index
+
     @pytest.mark.parametrize("kind", sorted(READ_VIEWS))
-    def test_cursor_duck_types_the_index_contract(self, kind, monkeypatch):
+    def test_every_view_serves_the_index_contract(self, kind, monkeypatch):
         """Every view kind serves one read surface; a cursor pinning it
         serves the same answers."""
         from repro.core import access_engine
