@@ -8,12 +8,12 @@ burst:
 * the **single-fact loop** calls ``service.insert`` / ``service.delete``
   once per fact — each call pays a copy-on-write relation rebuild, a full
   cache walk with one lock/republish per slot, a per-fact propagation pass
-  through the member forests, and one ``UnionRandomAccess.refresh()``;
+  through the member forests, and one union publication;
 * the **batched path** calls ``service.apply(delta)`` once — one database
   version bump (one copy-on-write per touched relation), one cache walk,
   one lock/republish, bucket-grouped bulk inserts, one *deduplicated*
   propagation pass over the dirty bucket paths, and exactly one union
-  refresh.
+  publication.
 
 The gate asserts the batched path is ≥ 5× faster (the ISSUE 4 acceptance
 bar), verifies the two services agree on the final count and — order

@@ -74,12 +74,13 @@ class Paginator:
     def page_of_answer(self, answer: tuple) -> Optional[int]:
         """Which page contains ``answer``? ``None`` if it is not an answer.
 
-        Needs the index to provide inverted access (CQ indexes do; the
-        union index does not — there it returns ``None``, and a cursor over
-        a union raises ``ValueError``)."""
+        Needs the index to provide inverted access (CQ indexes and cursors
+        over them do). Raises ``ValueError`` on an index without it — the
+        union index, or a cursor over one: a ``None`` there would read as
+        "not an answer"."""
         inverted = getattr(self.index, "inverted_access", None)
         if inverted is None:
-            return None
+            raise ValueError("inverted access is not available for union queries")
         position = inverted(answer)
         if position is None:
             return None

@@ -1,5 +1,5 @@
-"""The shared access engine: one mixed-radix SplitIndex walk, two bucket
-stores.
+"""The shared access engine: one mixed-radix SplitIndex walk over every
+bucket store.
 
 Algorithms 3 and 4 (and their amortized batched variant) are walks over a
 join forest whose *shape* logic — splitting an index across roots and
@@ -7,14 +7,16 @@ children like a multidimensional array subscript, recombining child
 offsets on the way back up — is identical for every index in this library.
 What differs is only the **bucket primitive**: the static index resolves
 offsets with a binary search over prefix-sum arrays
-(:class:`repro.core.index._Bucket`), the dynamic index with an
-order-maintained weighted tree
-(:class:`repro.core.dynamic._DynamicBucket`). Scalar access, the batched
-walk, inverted access, in-order enumeration, and the order rank
+(:class:`repro.core.index._Bucket`), the dynamic index with a descent of
+a frozen order-maintained weighted tree
+(:class:`repro.core.order_tree.SnapshotBucketStore`). Scalar access, the
+batched walk, inverted access, in-order enumeration, and the order rank
 Algorithm 8 needs (:func:`rank_walk`) are written once below, over the
 :class:`BucketStore` protocol, and :class:`EngineServingMixin` is the one
 read surface over them: the static :class:`~repro.core.cq_index.CQIndex`,
-the live dynamic forest and its published snapshots all serve through it.
+the dynamic forest and its published snapshots all serve through it — the
+dynamic forest from its latest snapshot, so no walk ever visits a live
+(writer-owned) bucket.
 
 Node protocol
 -------------
@@ -44,9 +46,11 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.database.relation import row_sort_key as _row_sort_key
 from repro.core import flat_store as _flat_store
 from repro.core.errors import OutOfBoundError
+# Defined beside its treap; importable here too, where serve-state
+# checkpoints pickled before the move look it up.
+from repro.core.order_tree import SnapshotBucketStore  # noqa: F401
 
 try:  # numpy ships with this environment (scipy depends on it); the sort
     import numpy as _np  # of a large batch is ~10× faster through argsort.
@@ -58,9 +62,13 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 class BucketStore(Protocol):
     """The bucket primitive the walks are parameterized over.
 
-    Implementations: the static prefix-array/bisect bucket
-    (:class:`repro.core.index._Bucket`) and the order-maintained dynamic
-    bucket (:class:`repro.core.dynamic._DynamicBucket`).
+    Implementations: the static prefix-array/bisect buckets
+    (:class:`repro.core.index._Bucket`,
+    :class:`repro.core.flat_store.FlatBucketStore`) and the frozen views
+    of the two dynamic treaps
+    (:class:`repro.core.order_tree.SnapshotBucketStore`,
+    :class:`repro.core.flat_store.FlatSnapshotStore`). A live dynamic
+    bucket is write-only and implements none of it.
     """
 
     #: Class-level flag: ``True`` when every row of a *childless* node's
@@ -68,8 +76,9 @@ class BucketStore(Protocol):
     #: no children), so a bucket-local offset *is* a row position and the
     #: walk may index the store's ``rows`` sequence directly instead of
     #: calling :meth:`locate_run`. A ``unit_leaf`` store must therefore
-    #: also expose positional ``rows``. Dynamic buckets hold zero-weight
-    #: tombstones (and no positional row list) and set this ``False``.
+    #: also expose positional ``rows``. Frozen dynamic buckets hold
+    #: zero-weight tombstones (and no positional row list) and set this
+    #: ``False``.
     unit_leaf: bool
 
     @property
@@ -102,99 +111,6 @@ class BucketStore(Protocol):
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
         """``(row, weight)`` pairs in enumeration order, zero-weight rows
         included (callers skip them)."""
-
-
-# ---------------------------------------------------------------------- #
-# Snapshot bucket store (lock-free reads over a frozen tree version)      #
-# ---------------------------------------------------------------------- #
-
-
-class SnapshotBucketStore:
-    """A read-only :class:`BucketStore` over one frozen treap version.
-
-    Wraps the root returned by
-    :meth:`~repro.core.order_tree.OrderedWeightTree.snapshot`: every node
-    reachable from it is immutable (the live tree path-copies around
-    frozen nodes), so every engine walk can run against this store
-    with **zero synchronization** while a writer keeps mutating the live
-    bucket. Traversal is strictly root-down — parent pointers belong to
-    the live tree and are never read here.
-
-    Offsets resolve by the same order-statistic descent the live dynamic
-    bucket uses; ``rank_start`` replaces the live bucket's row → node
-    handle map (which the writer owns) with a key-guided descent: within
-    a bucket, equal sort keys imply equal rows, so the descent is
-    deterministic.
-    """
-
-    __slots__ = ("root", "total")
-
-    #: Frozen dynamic buckets hold zero-weight tombstones, so bucket-local
-    #: offsets are not row positions — the engine must locate.
-    unit_leaf = False
-
-    def __init__(self, root):
-        self.root = root
-        self.total = root.subtotal if root is not None else 0
-
-    def __len__(self) -> int:
-        count = 0
-        for __ in self.iter_rows():
-            count += 1
-        return count
-
-    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
-        if not 0 <= offset < self.total:
-            raise IndexError(f"offset {offset} outside [0, {self.total})")
-        node = self.root
-        start = 0
-        remaining = offset
-        while True:
-            left = node.left
-            left_total = left.subtotal if left is not None else 0
-            if remaining < left_total:
-                node = left
-                continue
-            remaining -= left_total
-            start += left_total
-            if remaining < node.weight:
-                return node.row, start, node.weight
-            remaining -= node.weight
-            start += node.weight
-            node = node.right
-
-    def rank_start(self, row: tuple) -> Optional[int]:
-        before, present = self.rank_before(row)
-        return before if present else None
-
-    def rank_before(self, row: tuple) -> Tuple[int, bool]:
-        key = _row_sort_key(row)
-        node = self.root
-        before = 0
-        while node is not None:
-            left = node.left
-            if key < node.key:
-                node = left
-            elif node.key < key:
-                before += (left.subtotal if left is not None else 0) + node.weight
-                node = node.right
-            else:
-                if left is not None:
-                    before += left.subtotal
-                # Weight 0 is the dangling/tombstone case.
-                return before, node.weight > 0 and node.row == row
-        return before, False
-
-    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        stack: List[object] = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.row, node.weight
-            node = node.right
 
 
 # ---------------------------------------------------------------------- #
@@ -703,12 +619,13 @@ def _children_assignments(node, row: tuple, child_position: int, acc):
 class EngineServingMixin:
     """The engine-driven read surface over ``roots`` + ``head_variables``.
 
-    Shared by the static :class:`~repro.core.cq_index.CQIndex`, the live
-    :class:`~repro.core.dynamic.DynamicJoinForest` (writer-side reads) and
-    the immutable :class:`~repro.core.dynamic.IndexSnapshot` (lock-free
-    reader side): all expose the same forest-node protocol to the walks
-    above, so count / access / batch / inverted access / rank and ordered
-    and random-order enumeration are written once.
+    Shared by the static :class:`~repro.core.cq_index.CQIndex`, the
+    :class:`~repro.core.dynamic.DynamicJoinForest` (whose ``roots`` are
+    its latest snapshot's) and the immutable
+    :class:`~repro.core.dynamic.IndexSnapshot`: all expose the same
+    forest-node protocol to the walks above, so count / access / batch /
+    inverted access / rank and ordered and random-order enumeration are
+    written once.
     """
 
     roots: Sequence
@@ -793,8 +710,9 @@ class EngineServingMixin:
     def random_order(self, rng: Optional[random.Random] = None):
         """REnum (Theorem 3.7): the answers in uniformly random order. Over
         an immutable view the stream is immune to concurrent writes; over
-        the live dynamic forest, mutate-while-consuming has
-        container-resize semantics — pin a snapshot instead.
+        a dynamic forest each draw reads its latest snapshot, so
+        mutate-while-consuming has container-resize semantics — pin a
+        snapshot instead.
         """
         from repro.core.permutation import RandomPermutationEnumerator
 
@@ -802,7 +720,7 @@ class EngineServingMixin:
 
     def ensure_inverted_support(self) -> None:
         """Build what :meth:`inverted_access` needs (idempotent). A no-op
-        here — dynamic buckets keep their rank support up to date; the
+        here — frozen dynamic buckets rank by key-guided descent; the
         static index overrides it to build its lazy rank tables."""
 
     def inverted_access(self, answer: tuple) -> Optional[int]:

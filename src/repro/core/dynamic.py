@@ -16,9 +16,10 @@ for **full acyclic joins** (the class all six benchmark queries belong to):
   multiply up the ancestor chain once per dirty bucket. ``insert`` /
   ``delete`` are one-op batches through the same pass, O(depth · log);
 * every read comes from
-  :class:`~repro.core.access_engine.EngineServingMixin`, the read surface
-  the static :class:`~repro.core.cq_index.CQIndex` serves through too, so
-  the query service can route requests to either index interchangeably.
+  :class:`~repro.core.access_engine.EngineServingMixin` over the latest
+  published snapshot — the read surface the static
+  :class:`~repro.core.cq_index.CQIndex` serves through too, so the query
+  service can route requests to either index interchangeably.
 
 Design notes
 ------------
@@ -37,9 +38,10 @@ Design notes
   revives in place. Once tombstones exceed a configurable fraction of a
   bucket (:data:`DEFAULT_COMPACT_FRACTION`), the bucket compacts — a local
   rebuild that drops them without changing any weight range.
-* **Order maintenance.** Buckets are
-  :class:`~repro.core.order_tree.OrderedWeightTree` instances: the initial
-  load is canonically sorted *and every later insert lands at its
+* **Order maintenance.** Buckets are treaps —
+  :class:`~repro.core.order_tree.OrderedWeightTree`, or
+  :class:`~repro.core.flat_store.FlatOrderTree` on the flat store: the
+  initial load is canonically sorted *and every later insert lands at its
   canonical sort position* (expected O(log) treap insert), so a dynamic
   index enumerates exactly like the static (sorted-bucket) index at all
   times — not just at build. This preserves the deterministic global sort
@@ -53,14 +55,18 @@ Design notes
   with zero synchronization while the single writer keeps going; a
   pinned snapshot is mutually consistent across count / access / batch /
   inverted access / enumeration, and publication is incremental (clean
-  buckets and clean subtrees are shared between versions).
+  buckets and clean subtrees are shared between versions). The snapshot
+  is the only read path: the forest's own reads walk its latest one, and
+  the live buckets are write-only.
 * Restriction to full queries is fundamental, not incidental: with
   existential variables, Proposition 4.2's projection step is only correct
   on globally consistent databases, and maintaining global consistency
   under updates is precisely the Dynamic Yannakakis problem — out of this
   paper's scope.
 
-Layering: :class:`DynamicJoinForest` is the maintained structure over an
+Layering: :class:`_DynamicBucket` is one bucket's write side over either
+treap, and its frozen view (:meth:`_DynamicBucket.freeze`) its read side.
+:class:`DynamicJoinForest` is the maintained structure over an
 already-reduced join forest (the mc-UCQ intersection indexes are plain
 forests — their rows arrive as node-level presence changes, not base
 facts); :class:`DynamicCQIndex` wraps it with the query-level surface —
@@ -69,14 +75,15 @@ atom normalization and base-fact routing.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
 from repro.database.relation import row_sort_key
 from repro.query.cq import ConjunctiveQuery
 from repro.query.free_connex import free_connex_report
 
-from repro.core import access_engine, flat_store
+from repro.core import flat_store
 from repro.core.access_engine import EngineServingMixin
 from repro.core.errors import NotFreeConnexError
 from repro.core.order_tree import OrderedWeightTree, TreeRow
@@ -95,58 +102,57 @@ COMPACT_MIN_ROWS = 8
 PresenceHook = Callable[[int, tuple, bool], None]
 
 
+def _bucket_factory_for(store: str) -> Callable[..., "_DynamicBucket"]:
+    """New :class:`_DynamicBucket` instances over ``store``'s treap."""
+    tree_class = flat_store.FlatOrderTree if store == "flat" else OrderedWeightTree
+    return functools.partial(_DynamicBucket, tree_class)
+
+
 class _DynamicBucket:
     """A bucket whose rows live in an order-maintained weighted tree.
 
-    The dynamic :class:`~repro.core.access_engine.BucketStore`: rows stay
-    in canonical sort order under arbitrary insert/delete traffic, weights
-    support O(log) point updates, and offsets resolve by order-statistic
-    descent. ``rank`` maps each row to its tree node (the handle carrying
-    weight and multiplicity); ``tombstones`` counts multiplicity-0 rows.
+    The write side of a dynamic bucket, over either treap — an
+    :class:`~repro.core.order_tree.OrderedWeightTree` (``TreeRow``
+    handles) or a :class:`~repro.core.flat_store.FlatOrderTree` (row-id
+    handles), which supply the same handle accessors. Rows stay in
+    canonical sort order under arbitrary insert/delete traffic and
+    weights support O(log) point updates. ``rank`` maps each row to its
+    handle; ``tombstones`` counts multiplicity-0 rows.
 
-    :meth:`freeze` returns an immutable
-    :class:`~repro.core.access_engine.SnapshotBucketStore` over the
+    The live bucket answers no reads. :meth:`freeze` returns the
+    immutable :class:`~repro.core.access_engine.BucketStore` over the
     current tree version — memoized until the next mutation, so clean
-    buckets share one frozen view across many publishes. The tree's
-    ``on_clone`` hook keeps ``rank`` pointing at live nodes while the
-    write path path-copies around frozen spines.
+    buckets share one frozen view across many publishes. On the object
+    treap, the tree's ``on_clone`` hook keeps ``rank`` pointing at live
+    nodes while the write path path-copies around frozen spines; row ids
+    survive clones, so the slab treap needs no hook.
     """
 
     __slots__ = ("tree", "rank", "tombstones", "_frozen")
 
-    #: Dynamic leaf buckets hold zero-weight tombstones, so bucket-local
-    #: offsets are *not* row positions — the engine must locate.
-    unit_leaf = False
+    def __init__(self, tree_class, entries: Sequence[Tuple[tuple, int, int]] = ()):
+        """Bulk-build from canonically sorted ``(row, weight,
+        multiplicity)`` entries over a new ``tree_class`` tree."""
+        tree, handles = tree_class.from_sorted(entries)
+        self._adopt(tree)
+        self.rank = {entry[0]: handle for entry, handle in zip(entries, handles)}
+        self.tombstones = sum(1 for entry in entries if entry[2] == 0)
+        self._frozen = None
 
-    def __init__(self):
-        self.rank: Dict[tuple, TreeRow] = {}
-        self.tombstones = 0
-        self._frozen: Optional[access_engine.SnapshotBucketStore] = None
-        self._adopt(OrderedWeightTree())
-
-    def _adopt(self, tree: OrderedWeightTree) -> None:
-        """Take ownership of ``tree``: its clones re-point our handles."""
+    def _adopt(self, tree) -> None:
+        """Take ownership of ``tree``: object-treap clones re-point our
+        handles."""
         self.tree = tree
-        tree.on_clone = self._repoint
+        if isinstance(tree, OrderedWeightTree):
+            tree.on_clone = self._repoint
 
     def _repoint(self, node: TreeRow) -> None:
         self.rank[node.row] = node
 
-    @classmethod
-    def from_sorted_rows(
-        cls, entries: Sequence[Tuple[tuple, int, int]]
-    ) -> "_DynamicBucket":
-        """Bulk-build from canonically sorted (row, weight, multiplicity)."""
-        bucket = cls()
-        tree, nodes = OrderedWeightTree.from_sorted(entries)
-        bucket._adopt(tree)
-        bucket.rank = {node.row: node for node in nodes}
-        return bucket
-
-    def freeze(self) -> access_engine.SnapshotBucketStore:
+    def freeze(self):
         """The frozen view of the current version (memoized until dirtied)."""
         if self._frozen is None:
-            self._frozen = access_engine.SnapshotBucketStore(self.tree.snapshot())
+            self._frozen = self.tree.snapshot()
         return self._frozen
 
     @property
@@ -156,29 +162,8 @@ class _DynamicBucket:
     def __len__(self) -> int:
         return len(self.tree)
 
-    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
-        node, start = self.tree.locate(offset)
-        return node.row, start, node.weight
-
-    def rank_start(self, row: tuple) -> Optional[int]:
-        node = self.rank.get(row)
-        if node is None or node.weight == 0:
-            return None
-        return self.tree.prefix_of(node)
-
-    def rank_before(self, row: tuple) -> Tuple[int, bool]:
-        # The handle map cannot place a row that is not here; the frozen
-        # view's key-guided descent can (memoized until the next write).
-        return self.freeze().rank_before(row)
-
-    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        return ((node.row, node.weight) for node in self.tree)
-
     # -- Row-keyed maintenance API ------------------------------------- #
-    # The forest's write paths address rows by value, never by handle, so
-    # the flat backend (whose handles are slab row ids, not TreeRow
-    # objects) plugs in behind the identical call sites — see
-    # :class:`repro.core.flat_store.FlatDynamicBucket`.
+    # The forest's write paths address rows by value, never by handle.
 
     def has_row(self, row: tuple) -> bool:
         """Is the row materialized here (tombstones included)?"""
@@ -187,21 +172,21 @@ class _DynamicBucket:
     def is_present(self, row: tuple) -> bool:
         """Does the row currently participate (multiplicity > 0)?"""
         handle = self.rank.get(row)
-        return handle is not None and handle.multiplicity > 0
+        return handle is not None and self.tree.row_multiplicity(handle) > 0
 
     def multiplicity_of(self, row: tuple) -> Optional[int]:
         """The row's multiplicity, or ``None`` when not materialized."""
         handle = self.rank.get(row)
-        return None if handle is None else handle.multiplicity
+        return None if handle is None else self.tree.row_multiplicity(handle)
 
     def set_multiplicity(self, row: tuple, multiplicity: int) -> None:
         """In-place multiplicity write (writer bookkeeping, invisible to
         snapshot readers — see the order-tree notes), with tombstone
         accounting."""
         handle = self.rank[row]
-        was = handle.multiplicity > 0
+        was = self.tree.row_multiplicity(handle) > 0
         now = multiplicity > 0
-        handle.multiplicity = multiplicity
+        self.tree.set_multiplicity(handle, multiplicity)
         if was and not now:
             self.tombstones += 1
         elif now and not was:
@@ -210,7 +195,7 @@ class _DynamicBucket:
     def set_row_weight(self, row: tuple, weight: int) -> None:
         """Point weight update (no-op, and no re-freeze, when equal)."""
         handle = self.rank[row]
-        if handle.weight == weight:
+        if self.tree.row_weight(handle) == weight:
             return
         self._frozen = None
         self.tree.set_weight(handle, weight)
@@ -222,9 +207,9 @@ class _DynamicBucket:
         if not entries:
             return
         self._frozen = None
-        for node in self.tree.insert_sorted(entries):
-            self.rank[node.row] = node
-            if node.multiplicity == 0:
+        for entry, handle in zip(entries, self.tree.insert_sorted(entries)):
+            self.rank[entry[0]] = handle
+            if entry[2] == 0:
                 self.tombstones += 1
 
     def compact(self) -> None:
@@ -232,9 +217,9 @@ class _DynamicBucket:
         tombstones occupy empty ranges, so no reader can tell). The old
         tree is left intact for any snapshot still holding its root."""
         self._frozen = None
-        tree, nodes = self.tree.compacted()
+        tree, pairs = self.tree.compacted()
         self._adopt(tree)
-        self.rank = {node.row: node for node in nodes}
+        self.rank = dict(pairs)
         self.tombstones = 0
 
 
@@ -306,10 +291,10 @@ class _DynamicNode:
 
 
 class _SnapshotNode:
-    """One frozen join-forest node: the engine's node protocol over
-    immutable :class:`~repro.core.access_engine.SnapshotBucketStore`
-    buckets. Clean nodes (no dirty bucket, unchanged children) are shared
-    between consecutive snapshots."""
+    """One frozen join-forest node: the engine's node protocol over the
+    buckets' frozen views (:meth:`_DynamicBucket.freeze`). Clean nodes (no
+    dirty bucket, unchanged children) are shared between consecutive
+    snapshots."""
 
     __slots__ = ("columns", "children", "child_key_positions", "buckets")
 
@@ -384,8 +369,12 @@ class DynamicJoinForest(EngineServingMixin):
     store:
         Bucket backend: ``"tuple"`` (object treaps) or ``"flat"`` (slab
         treaps over preallocated arrays —
-        :class:`~repro.core.flat_store.FlatDynamicBucket`). ``None``
+        :class:`~repro.core.flat_store.FlatOrderTree`). ``None``
         resolves via :func:`repro.core.flat_store.resolve_store`.
+
+    Reads (the :class:`~repro.core.access_engine.EngineServingMixin`
+    surface) walk :attr:`roots`, the latest snapshot's frozen nodes; the
+    live nodes are reached only by the write path and by publication.
     """
 
     def __init__(
@@ -397,9 +386,7 @@ class DynamicJoinForest(EngineServingMixin):
     ):
         self.reduced = reduced
         self.store = flat_store.resolve_store(store)
-        self._bucket_factory = (
-            flat_store.FlatDynamicBucket if self.store == "flat" else _DynamicBucket
-        )
+        self._bucket_factory = _bucket_factory_for(self.store)
         self.head_variables: Tuple[str, ...] = tuple(reduced.head_variables)
         self.on_presence_change = on_presence_change
         self.compact_fraction = compact_fraction
@@ -415,10 +402,23 @@ class DynamicJoinForest(EngineServingMixin):
         self._dirty: set = set()
         self._snapshot: Optional[IndexSnapshot] = None
         self._snapshot_nodes: Optional[List[Optional[_SnapshotNode]]] = None
-        self.roots: List[_DynamicNode] = [
+        self._live_roots: List[_DynamicNode] = [
             self._build(root, None) for root in reduced.roots
         ]
         self._publish()
+
+    def __setstate__(self, state: dict) -> None:
+        # Serve-state pickled while reads still walked the live nodes
+        # keeps them as ``roots`` and a bucket class as the factory.
+        if "roots" in state:
+            state["_live_roots"] = state.pop("roots")
+            state["_bucket_factory"] = _bucket_factory_for(state["store"])
+        self.__dict__.update(state)
+
+    @property
+    def roots(self) -> List[_SnapshotNode]:
+        """The engine's forest: the latest snapshot's frozen nodes."""
+        return self._snapshot.roots
 
     # ------------------------------------------------------------------ #
     # Construction                                                        #
@@ -452,7 +452,7 @@ class DynamicJoinForest(EngineServingMixin):
             # and repeated-variable positions are determined by the
             # normalized row), and base relations are sets — so every
             # loaded row is one base fact: multiplicity 1.
-            node.buckets[key] = self._bucket_factory.from_sorted_rows(
+            node.buckets[key] = self._bucket_factory(
                 [(row, node.own_weight(row), 1) for row in rows]
             )
             for row in rows:
@@ -639,9 +639,9 @@ class DynamicJoinForest(EngineServingMixin):
     # ------------------------------------------------------------------ #
     # Snapshot publication (lock-free reads)                              #
     # ------------------------------------------------------------------ #
-    # The engine-driven read surface itself comes from EngineServingMixin
-    # (writer-side reads over the live buckets); readers that must not
-    # block on the single writer pin `self.snapshot` instead.
+    # The engine-driven read surface comes from EngineServingMixin over
+    # `roots`, the latest snapshot's; a reader that needs one version
+    # across several reads pins `self.snapshot` instead.
 
     @property
     def snapshot(self) -> IndexSnapshot:
@@ -709,7 +709,7 @@ class DynamicJoinForest(EngineServingMixin):
             new_nodes[position] = node
             return node
 
-        roots = [rebuild(root) for root in self.roots]
+        roots = [rebuild(root) for root in self._live_roots]
         self._snapshot_nodes = new_nodes
         self.publishes += 1
         snapshot = IndexSnapshot(

@@ -17,8 +17,11 @@ module moves the static data plane onto contiguous numpy arrays:
 * :class:`FlatOrderTree` — a slab-allocated treap (index-based: ``left``/
   ``right``/``weight``/``subtotal`` columns over preallocated int arrays
   instead of ``TreeRow`` objects) implementing the same snapshot/path-copy
-  contract as :class:`~repro.core.order_tree.OrderedWeightTree`, and
-  :class:`FlatDynamicBucket`, the dynamic bucket over it.
+  contract and handle accessors as
+  :class:`~repro.core.order_tree.OrderedWeightTree`, so the one dynamic
+  bucket (:class:`repro.core.dynamic._DynamicBucket`) runs over either
+  tree; its frozen view, :class:`FlatSnapshotStore`, is the tree's only
+  read surface.
 
 Backend selection
 -----------------
@@ -38,9 +41,10 @@ they do through the tuple stores.
 Slab-treap snapshot contract
 ----------------------------
 :meth:`FlatOrderTree.snapshot` bumps the epoch and captures the current
-array references; a mutation may only edit slots stamped with the current
-epoch, so frozen slots (reachable from any snapshot root) are never
-written again — clones land in fresh slots. Growth reallocates the slabs
+array references in a :class:`FlatSnapshotStore`; a mutation may only
+edit slots stamped with the current epoch, so frozen slots (reachable
+from any snapshot root) are never written again — clones land in fresh
+slots. Growth reallocates the slabs
 by copy, leaving a snapshot's captured arrays intact. Handles are *row
 ids* (stable integers into append-only ``rows``/``keys`` lists), so —
 unlike ``TreeRow`` handles — they survive path copies and rebuilds with
@@ -768,29 +772,6 @@ def _contiguous_walk(flat: FlatNode, start: int, stop: int, out) -> None:
 # ---------------------------------------------------------------------- #
 
 
-class FrozenFlatTree:
-    """One immutable version of a :class:`FlatOrderTree`.
-
-    Captures the root slot and the slab references at snapshot time:
-    every slot reachable from ``root`` is frozen (the live tree clones
-    into fresh slots before mutating), and growth reallocates the slabs
-    by copy, so these arrays never change under a reader.
-    """
-
-    __slots__ = ("root", "left", "right", "weight", "subtotal",
-                 "row_of", "rows", "keys")
-
-    def __init__(self, tree: "FlatOrderTree"):
-        self.root = tree.root
-        self.left = tree.left
-        self.right = tree.right
-        self.weight = tree.weight
-        self.subtotal = tree.subtotal
-        self.row_of = tree.row_of
-        self.rows = tree.rows
-        self.keys = tree.keys
-
-
 class FlatOrderTree:
     """A slab-allocated treap over canonically sorted weighted rows.
 
@@ -959,58 +940,28 @@ class FlatOrderTree:
             yield int(row_of[slot])
             slot = int(right[slot])
 
+    # The handle accessors the owning bucket reads and writes through —
+    # the object treap's, over row-id handles.
+
     def row_weight(self, row_id: int) -> int:
         return int(self.weight[self.node_of[row_id]])
 
-    def locate(self, offset: int) -> Tuple[int, int]:
-        """``(row_id, start)`` of the row whose range contains ``offset``."""
-        if not 0 <= offset < self.total:
-            raise IndexError(f"offset {offset} outside [0, {self.total})")
-        left, right, weight, subtotal = (
-            self.left, self.right, self.weight, self.subtotal,
-        )
-        slot = self.root
-        start = 0
-        remaining = offset
-        while True:
-            a = left[slot]
-            left_total = subtotal[a] if a != _NIL else 0
-            if remaining < left_total:
-                slot = a
-                continue
-            remaining -= left_total
-            start += left_total
-            w = weight[slot]
-            if remaining < w:
-                return int(self.row_of[slot]), int(start)
-            remaining -= w
-            start += w
-            slot = right[slot]
+    def row_multiplicity(self, row_id: int) -> int:
+        return self.multiplicity[row_id]
 
-    def prefix_of(self, row_id: int) -> int:
-        """``startIndex`` of the row: total weight canonically before it."""
-        left, right, weight, subtotal, parent = (
-            self.left, self.right, self.weight, self.subtotal, self.parent,
-        )
-        slot = self.node_of[row_id]
-        a = left[slot]
-        total = subtotal[a] if a != _NIL else 0
-        while parent[slot] != _NIL:
-            up = parent[slot]
-            if right[up] == slot:
-                a = left[up]
-                total += weight[up] + (subtotal[a] if a != _NIL else 0)
-            slot = up
-        return int(total)
+    def set_multiplicity(self, row_id: int, multiplicity: int) -> None:
+        """In-place write: writer bookkeeping, invisible to snapshots."""
+        self.multiplicity[row_id] = multiplicity
 
     # ------------------------------------------------------------------ #
     # Snapshots (persistence)                                             #
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> FrozenFlatTree:
-        """Freeze the current version in O(1) (see the module notes)."""
+    def snapshot(self) -> "FlatSnapshotStore":
+        """Freeze the current version in O(1) (see the module notes);
+        returns its frozen view."""
         self.epoch += 1
-        return FrozenFlatTree(self)
+        return FlatSnapshotStore(self)
 
     def _clone(self, slot: int) -> int:
         fresh = self._new_slot(
@@ -1209,21 +1160,33 @@ class FlatOrderTree:
 
 
 class FlatSnapshotStore:
-    """A read-only :class:`~repro.core.access_engine.BucketStore` over one
-    :class:`FrozenFlatTree` version — the slab analog of
-    :class:`~repro.core.access_engine.SnapshotBucketStore` (root-down
-    descents only; ``parent`` and ``multiplicity`` are never read)."""
+    """The read-only :class:`~repro.core.access_engine.BucketStore` over
+    one frozen :class:`FlatOrderTree` version — the slab analog of
+    :class:`~repro.core.order_tree.SnapshotBucketStore`.
 
-    __slots__ = ("frozen", "total")
+    Captures the root slot and the slab references at snapshot time:
+    every slot reachable from ``root`` is frozen (the live tree clones
+    into fresh slots before mutating), and growth reallocates the slabs
+    by copy, so these arrays never change under a reader. Descents are
+    root-down only; ``parent`` and ``multiplicity`` are never read.
+    """
+
+    __slots__ = ("root", "left", "right", "weight", "subtotal",
+                 "row_of", "rows", "keys", "total")
 
     #: Frozen dynamic buckets hold zero-weight tombstones.
     unit_leaf = False
 
-    def __init__(self, frozen: FrozenFlatTree):
-        self.frozen = frozen
-        self.total = (
-            int(frozen.subtotal[frozen.root]) if frozen.root != _NIL else 0
-        )
+    def __init__(self, tree: FlatOrderTree):
+        self.root = tree.root
+        self.left = tree.left
+        self.right = tree.right
+        self.weight = tree.weight
+        self.subtotal = tree.subtotal
+        self.row_of = tree.row_of
+        self.rows = tree.rows
+        self.keys = tree.keys
+        self.total = tree.total
 
     def __len__(self) -> int:
         count = 0
@@ -1234,9 +1197,10 @@ class FlatSnapshotStore:
     def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
         if not 0 <= offset < self.total:
             raise IndexError(f"offset {offset} outside [0, {self.total})")
-        f = self.frozen
-        left, right, weight, subtotal = f.left, f.right, f.weight, f.subtotal
-        slot = f.root
+        left, right, weight, subtotal = (
+            self.left, self.right, self.weight, self.subtotal,
+        )
+        slot = self.root
         start = 0
         remaining = offset
         while True:
@@ -1249,7 +1213,7 @@ class FlatSnapshotStore:
             start += left_total
             w = weight[slot]
             if remaining < w:
-                return f.rows[int(f.row_of[slot])], int(start), int(w)
+                return self.rows[int(self.row_of[slot])], int(start), int(w)
             remaining -= w
             start += w
             slot = right[slot]
@@ -1260,13 +1224,14 @@ class FlatSnapshotStore:
 
     def rank_before(self, row: tuple) -> Tuple[int, bool]:
         key = row_sort_key(row)
-        f = self.frozen
-        left, right, weight, subtotal = f.left, f.right, f.weight, f.subtotal
-        slot = f.root
+        left, right, weight, subtotal = (
+            self.left, self.right, self.weight, self.subtotal,
+        )
+        slot = self.root
         before = 0
         while slot != _NIL:
-            row_id = int(f.row_of[slot])
-            slot_key = f.keys[row_id]
+            row_id = int(self.row_of[slot])
+            slot_key = self.keys[row_id]
             a = left[slot]
             if key < slot_key:
                 slot = a
@@ -1277,133 +1242,16 @@ class FlatSnapshotStore:
                 if a != _NIL:
                     before += subtotal[a]
                 # Weight 0 is the dangling/tombstone case.
-                return int(before), bool(weight[slot]) and f.rows[row_id] == row
+                return int(before), bool(weight[slot]) and self.rows[row_id] == row
         return int(before), False
 
     def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        f = self.frozen
         stack: List[int] = []
-        slot = f.root
+        slot = self.root
         while stack or slot != _NIL:
             while slot != _NIL:
                 stack.append(slot)
-                slot = int(f.left[slot])
+                slot = int(self.left[slot])
             slot = stack.pop()
-            yield f.rows[int(f.row_of[slot])], int(f.weight[slot])
-            slot = int(f.right[slot])
-
-
-class FlatDynamicBucket:
-    """The dynamic columnar bucket: a :class:`FlatOrderTree` plus a
-    row → row-id rank map. Implements both the engine's
-    :class:`~repro.core.access_engine.BucketStore` protocol and the
-    row-keyed maintenance API of
-    :class:`~repro.core.dynamic._DynamicBucket`, so
-    :class:`~repro.core.dynamic.DynamicJoinForest` drives either backend
-    through identical call sites. Row-id handles are stable, so no
-    ``on_clone`` re-pointing is ever needed."""
-
-    __slots__ = ("tree", "rank", "tombstones", "_frozen")
-
-    unit_leaf = False
-
-    def __init__(self):
-        self.tree = FlatOrderTree()
-        self.rank: Dict[tuple, int] = {}
-        self.tombstones = 0
-        self._frozen: Optional[FlatSnapshotStore] = None
-
-    @classmethod
-    def from_sorted_rows(
-        cls, entries: Sequence[Tuple[tuple, int, int]]
-    ) -> "FlatDynamicBucket":
-        bucket = cls.__new__(cls)
-        bucket.tree, row_ids = FlatOrderTree.from_sorted(entries)
-        bucket.rank = {
-            entry[0]: row_id for entry, row_id in zip(entries, row_ids)
-        }
-        bucket.tombstones = sum(1 for entry in entries if entry[2] == 0)
-        bucket._frozen = None
-        return bucket
-
-    def freeze(self) -> FlatSnapshotStore:
-        if self._frozen is None:
-            self._frozen = FlatSnapshotStore(self.tree.snapshot())
-        return self._frozen
-
-    # -- BucketStore protocol ------------------------------------------ #
-
-    @property
-    def total(self) -> int:
-        return self.tree.total
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
-        row_id, start = self.tree.locate(offset)
-        return self.tree.rows[row_id], start, self.tree.row_weight(row_id)
-
-    def rank_start(self, row: tuple) -> Optional[int]:
-        row_id = self.rank.get(row)
-        if row_id is None or self.tree.row_weight(row_id) == 0:
-            return None
-        return self.tree.prefix_of(row_id)
-
-    def rank_before(self, row: tuple) -> Tuple[int, bool]:
-        # As on the object treap: only the frozen view's key-guided
-        # descent can place a row that is not here.
-        return self.freeze().rank_before(row)
-
-    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        tree = self.tree
-        return (
-            (tree.rows[row_id], tree.row_weight(row_id)) for row_id in tree
-        )
-
-    # -- Row-keyed maintenance API ------------------------------------- #
-
-    def has_row(self, row: tuple) -> bool:
-        return row in self.rank
-
-    def is_present(self, row: tuple) -> bool:
-        row_id = self.rank.get(row)
-        return row_id is not None and self.tree.multiplicity[row_id] > 0
-
-    def multiplicity_of(self, row: tuple) -> Optional[int]:
-        row_id = self.rank.get(row)
-        return None if row_id is None else self.tree.multiplicity[row_id]
-
-    def set_multiplicity(self, row: tuple, multiplicity: int) -> None:
-        """In-place multiplicity write (writer bookkeeping — invisible to
-        snapshot readers), with tombstone accounting."""
-        row_id = self.rank[row]
-        was = self.tree.multiplicity[row_id] > 0
-        now = multiplicity > 0
-        self.tree.multiplicity[row_id] = multiplicity
-        if was and not now:
-            self.tombstones += 1
-        elif now and not was:
-            self.tombstones -= 1
-
-    def set_row_weight(self, row: tuple, weight: int) -> None:
-        row_id = self.rank[row]
-        if self.tree.row_weight(row_id) == weight:
-            return
-        self._frozen = None
-        self.tree.set_weight(row_id, weight)
-
-    def bulk_insert(self, entries: Sequence[Tuple[tuple, int, int]]) -> None:
-        if not entries:
-            return
-        self._frozen = None
-        for entry, row_id in zip(entries, self.tree.insert_sorted(entries)):
-            self.rank[entry[0]] = row_id
-            if entry[2] == 0:
-                self.tombstones += 1
-
-    def compact(self) -> None:
-        self._frozen = None
-        self.tree, pairs = self.tree.compacted()
-        self.rank = dict(pairs)
-        self.tombstones = 0
+            yield self.rows[int(self.row_of[slot])], int(self.weight[slot])
+            slot = int(self.right[slot])

@@ -15,11 +15,6 @@ weight sums, so that
   expected O(log n);
 * ``set_weight`` adjusts one row's weight (ancestor sums fix up along the
   parent chain) in expected O(log n);
-* ``locate(offset)`` finds the row whose weight range contains ``offset``
-  (the dynamic analog of ``bisect_right(startIndex, offset) − 1``) in
-  expected O(log n), skipping zero-weight rows;
-* ``prefix_of(node)`` recovers a row's ``startIndex`` in expected
-  O(log n) by walking the parent chain;
 * :meth:`from_sorted` bulk-builds a perfectly balanced tree from
   canonically sorted input in O(n) — *including* the priorities: they are
   generated already descending (sequential uniform order statistics, see
@@ -46,15 +41,17 @@ the keys — are reproducible across runs.
 Snapshot isolation (persistence on the write path)
 --------------------------------------------------
 :meth:`OrderedWeightTree.snapshot` freezes the current tree in O(1): it
-returns the root and bumps the tree's *epoch*. Every node carries the
-epoch it was created in (``stamp``); a mutation may only edit nodes
-stamped with the current epoch, so after a snapshot the write path
+bumps the tree's *epoch* and wraps the root in a
+:class:`SnapshotBucketStore`, the tree's one read surface. Every node
+carries the epoch it was created in (``stamp``); a mutation may only edit
+nodes stamped with the current epoch, so after a snapshot the write path
 **path-copies** the O(log n) spine from the root down to the touched node
 instead of editing shared nodes in place. A frozen root therefore denotes
 an immutable tree version: its ``left``/``right``/``key``/``row``/
 ``weight``/``subtotal`` fields never change again, and readers can
 traverse it with zero synchronization while the writer keeps mutating the
-live tree (see :class:`~repro.core.access_engine.SnapshotBucketStore`).
+live tree. The live tree itself answers no reads: a dynamic index serves
+every read from its latest published snapshot.
 
 Two deliberate exceptions keep the write path cheap, both invisible to
 snapshot readers (who navigate root-down and never read these fields):
@@ -235,43 +232,6 @@ class OrderedWeightTree:
     def __len__(self) -> int:
         return self.size
 
-    def locate(self, offset: int) -> Tuple[TreeRow, int]:
-        """The node whose weight range contains ``offset``, with its prefix.
-
-        Returns ``(node, start)`` where ``start`` is the sum of weights of
-        all rows canonically before ``node`` — i.e. ``startIndex(node)``,
-        with ``start ≤ offset < start + node.weight``. Zero-weight rows
-        occupy empty ranges and are never located. Requires
-        ``0 ≤ offset < total``.
-        """
-        if not 0 <= offset < self.total:
-            raise IndexError(f"offset {offset} outside [0, {self.total})")
-        node = self.root
-        start = 0
-        remaining = offset
-        while True:
-            left_total = _subtotal_of(node.left)
-            if remaining < left_total:
-                node = node.left
-                continue
-            remaining -= left_total
-            start += left_total
-            if remaining < node.weight:
-                return node, start
-            remaining -= node.weight
-            start += node.weight
-            node = node.right
-
-    def prefix_of(self, node: TreeRow) -> int:
-        """``startIndex(node)``: total weight of rows canonically before it."""
-        total = _subtotal_of(node.left)
-        while node.parent is not None:
-            parent = node.parent
-            if node is parent.right:
-                total += parent.weight + _subtotal_of(parent.left)
-            node = parent
-        return total
-
     def __iter__(self) -> Iterator[TreeRow]:
         """All nodes (tombstones included) in canonical order."""
         stack: List[TreeRow] = []
@@ -284,20 +244,36 @@ class OrderedWeightTree:
             yield node
             node = node.right
 
+    # The handle accessors the owning bucket reads and writes through;
+    # :class:`~repro.core.flat_store.FlatOrderTree` supplies the same ones
+    # over row-id handles.
+
+    @staticmethod
+    def row_weight(node: TreeRow) -> int:
+        return node.weight
+
+    @staticmethod
+    def row_multiplicity(node: TreeRow) -> int:
+        return node.multiplicity
+
+    @staticmethod
+    def set_multiplicity(node: TreeRow, multiplicity: int) -> None:
+        """In-place write: writer bookkeeping, invisible to snapshots."""
+        node.multiplicity = multiplicity
+
     # ------------------------------------------------------------------ #
     # Snapshots (persistence)                                             #
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> Optional[TreeRow]:
-        """Freeze the current tree version in O(1); returns its root.
+    def snapshot(self) -> "SnapshotBucketStore":
+        """Freeze the current tree version in O(1); returns its frozen view.
 
-        Bumps the epoch, so every node reachable from the returned root is
+        Bumps the epoch, so every node reachable from the view's root is
         immutable from now on (later mutations path-copy their spines —
-        see the module notes). The returned root may be ``None`` for an
-        empty tree.
+        see the module notes).
         """
         self.epoch += 1
-        return self.root
+        return SnapshotBucketStore(self.root)
 
     def _clone(self, node: TreeRow) -> TreeRow:
         """A current-epoch copy of ``node`` (pointers copied verbatim)."""
@@ -493,13 +469,101 @@ class OrderedWeightTree:
         self.root, self.size = rebuilt.root, rebuilt.size
         return new_nodes
 
-    def compacted(self) -> Tuple["OrderedWeightTree", List[TreeRow]]:
+    def compacted(self) -> Tuple["OrderedWeightTree", List[Tuple[tuple, TreeRow]]]:
         """A rebuilt tree containing only the live (multiplicity > 0) rows.
 
         Tombstones carry weight 0, so the rebuilt tree has the same total
         and the same enumeration order over live rows — compaction is
-        invisible to every reader. Returns the new tree and its nodes so
-        the caller can re-point its row → node map.
+        invisible to every reader. Returns the new tree and its
+        ``(row, node)`` pairs so the caller can re-point its row → node
+        map.
         """
         live = [(n.row, n.weight, n.multiplicity) for n in self if n.multiplicity > 0]
-        return OrderedWeightTree.from_sorted(live)
+        tree, nodes = OrderedWeightTree.from_sorted(live)
+        return tree, [(node.row, node) for node in nodes]
+
+
+class SnapshotBucketStore:
+    """The read-only :class:`~repro.core.access_engine.BucketStore` over
+    one frozen :class:`OrderedWeightTree` version.
+
+    Wraps the root captured by :meth:`OrderedWeightTree.snapshot`: every
+    node reachable from it is immutable (the live tree path-copies around
+    frozen nodes), so every engine walk can run against this store with
+    **zero synchronization** while a writer keeps mutating the live
+    bucket. Traversal is strictly root-down — parent pointers and
+    multiplicities belong to the live tree and are never read here.
+
+    Offsets resolve by an order-statistic descent; ``rank_before`` is a
+    key-guided descent — within a bucket, equal sort keys imply equal
+    rows, so it is deterministic.
+    """
+
+    __slots__ = ("root", "total")
+
+    #: Frozen dynamic buckets hold zero-weight tombstones, so bucket-local
+    #: offsets are not row positions — the engine must locate.
+    unit_leaf = False
+
+    def __init__(self, root: Optional[TreeRow]):
+        self.root = root
+        self.total = root.subtotal if root is not None else 0
+
+    def __len__(self) -> int:
+        count = 0
+        for __ in self.iter_rows():
+            count += 1
+        return count
+
+    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
+        if not 0 <= offset < self.total:
+            raise IndexError(f"offset {offset} outside [0, {self.total})")
+        node = self.root
+        start = 0
+        remaining = offset
+        while True:
+            left = node.left
+            left_total = left.subtotal if left is not None else 0
+            if remaining < left_total:
+                node = left
+                continue
+            remaining -= left_total
+            start += left_total
+            if remaining < node.weight:
+                return node.row, start, node.weight
+            remaining -= node.weight
+            start += node.weight
+            node = node.right
+
+    def rank_start(self, row: tuple) -> Optional[int]:
+        before, present = self.rank_before(row)
+        return before if present else None
+
+    def rank_before(self, row: tuple) -> Tuple[int, bool]:
+        key = row_sort_key(row)
+        node = self.root
+        before = 0
+        while node is not None:
+            left = node.left
+            if key < node.key:
+                node = left
+            elif node.key < key:
+                before += (left.subtotal if left is not None else 0) + node.weight
+                node = node.right
+            else:
+                if left is not None:
+                    before += left.subtotal
+                # Weight 0 is the dangling/tombstone case.
+                return before, node.weight > 0 and node.row == row
+        return before, False
+
+    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
+        stack: List[TreeRow] = []
+        node = self.root
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node.left
+            node = stack.pop()
+            yield node.row, node.weight
+            node = node.right

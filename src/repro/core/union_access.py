@@ -158,13 +158,17 @@ class UnionRandomAccess:
         For each ``ℓ`` and nonempty ``I ⊆ {ℓ+1, …, m−1}``, an index of
         ``T_{ℓ,I} = S_ℓ ∩ ⋂_{i∈I} S_i`` over the members' forest shape
         (``count`` / ``rank_not_after``), keyed by ``(ℓ, frozenset(I))``.
+
+    The overlap and suffix-count tables are computed once, here, from the
+    member and intersection ``count`` values, so the indexes must not
+    change under it: a dynamic mc-UCQ builds one per published version,
+    over that version's frozen snapshots.
     """
 
     def __init__(
         self,
         members: Sequence,
         intersections: Dict[Tuple[int, FrozenSet[int]], object],
-        tables: Optional[Tuple[List[int], List[int]]] = None,
     ):
         self.members = list(members)
         m = len(self.members)
@@ -176,24 +180,6 @@ class UnionRandomAccess:
             ]
             for position in range(m)
         ]
-        if tables is not None:
-            # Adopt already-computed (overlap, suffix-count) tables — the
-            # snapshot path reuses the live union's fresh refresh instead
-            # of recomputing the O(m·2^m) inclusion–exclusion sums.
-            self._overlap, self._suffix_count = tables
-        else:
-            self.refresh()
-
-    def refresh(self) -> None:
-        """Recompute the cached member/intersection counts.
-
-        The overlap and suffix-count tables are derived from the member
-        and intersection ``count`` values, which are O(1) reads — but they
-        are *cached* here, so a caller that mutates the underlying indexes
-        (the dynamic mc-UCQ path) must refresh after every batch of
-        updates or access would split the index across stale digit bases.
-        """
-        m = len(self.members)
         # |S_ℓ ∩ (S_{ℓ+1} ∪ …)| by inclusion–exclusion over T_{ℓ,I}.
         self._overlap: List[int] = [
             sum(sign * index.count for sign, index in terms)
@@ -358,8 +344,9 @@ def enumerate_union(members: Sequence) -> Iterator[tuple]:
 class UnionServingMixin:
     """The read surface over ``_union``, a :class:`UnionRandomAccess`.
 
-    Shared by :class:`MCUCQIndex` (static, or the live dynamic family) and
-    the immutable :class:`UnionIndexSnapshot`. The union surface offers no
+    Shared by :class:`MCUCQIndex` and the immutable
+    :class:`UnionIndexSnapshot`; a dynamic :class:`MCUCQIndex` reads
+    through its latest snapshot's ``_union``. The union surface offers no
     inverted access; membership (``answer in view``) is the paper's
     ``Test``, one inverted access per member.
     """
@@ -438,9 +425,9 @@ class UnionIndexSnapshot(UnionServingMixin):
 
     Holds the pinned :class:`~repro.core.dynamic.IndexSnapshot` of every
     member and every ``T_{ℓ,I}`` intersection — all published by the same
-    write batch — plus a :class:`UnionRandomAccess` whose overlap and
-    suffix-count tables were computed once from those frozen counts.
-    Every read (count, access, batch, sampling, Durand–Strozecki
+    write batch — plus a :class:`UnionRandomAccess` over them, whose
+    overlap and suffix-count tables are computed once from those frozen
+    counts. Every read (count, access, batch, sampling, Durand–Strozecki
     enumeration, random order) therefore runs against one mutually
     consistent version of the whole 2^m family with zero synchronization,
     while the single writer keeps patching the live index.
@@ -458,7 +445,6 @@ class UnionIndexSnapshot(UnionServingMixin):
         intersections: Dict[Tuple[int, FrozenSet[int]], object],
         head_variables: Tuple[str, ...],
         version: int,
-        tables: Optional[Tuple[List[int], List[int]]] = None,
         store: str = "tuple",
     ):
         self.member_snapshots = list(members)
@@ -469,7 +455,7 @@ class UnionIndexSnapshot(UnionServingMixin):
         #: snapshot so per-backend read accounting works on pinned views.
         self.store = store
         self._union = UnionRandomAccess(
-            self.member_snapshots, self.intersection_snapshots, tables=tables
+            self.member_snapshots, self.intersection_snapshots
         )
 
     # The layered benchmark's tracer wraps these by name in
@@ -510,6 +496,8 @@ class MCUCQIndex(UnionServingMixin):
     compatibility invariant — every structure's order restricts one global
     order fixed by the forest shape — holds at all times, and a mutated
     dynamic union enumerates exactly like a freshly built static one.
+    A dynamic index reads through its latest :attr:`snapshot`: it builds
+    no :class:`UnionRandomAccess` over its live members.
     Dynamic mode requires every member to be *full* (the usual dynamic
     restriction; see :class:`~repro.core.dynamic.DynamicCQIndex`).
 
@@ -552,17 +540,25 @@ class MCUCQIndex(UnionServingMixin):
         # into one batched presence pass per intersection forest.
         self._hook_buffer: Dict[int, tuple] = {}
 
-        if dynamic:
-            self._build_dynamic(database)
-        else:
-            self._build_static(database)
-        self._union = UnionRandomAccess(self.member_indexes, self.intersection_indexes)
         #: Published union snapshots (dynamic mode only; also the version
         #: stamp of the latest :class:`UnionIndexSnapshot`).
         self.publishes = 0
         self._snapshot: Optional[UnionIndexSnapshot] = None
         if dynamic:
+            self._build_dynamic(database)
             self._publish()
+        else:
+            self._build_static(database)
+            self._union = UnionRandomAccess(
+                self.member_indexes, self.intersection_indexes
+            )
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.dynamic:
+            # Serve-state pickled when a dynamic union kept its own access
+            # structure over the live members: read through the snapshot.
+            self._union = self._snapshot._union
 
     def _build_static(self, database: Database) -> None:
         ucq = self.ucq
@@ -681,15 +677,15 @@ class MCUCQIndex(UnionServingMixin):
 
     def apply_delta(self, delta) -> None:
         """Absorb a whole write batch across the 2^m index family with
-        **exactly one** :meth:`UnionRandomAccess.refresh`.
+        **exactly one** union publication.
 
         Every member absorbs the batch through its own
         :meth:`~repro.core.dynamic.DynamicCQIndex.apply_delta` (grouped
         buckets, one deduplicated propagation pass each); presence
         transitions are buffered, then each touched intersection forest
         takes one batched presence pass decided from the members' final
-        state, and the union's digit bases are recomputed once for the
-        whole batch. Dynamic mode only.
+        state, and :meth:`_publish` computes the union's digit bases once
+        for the whole batch. Dynamic mode only.
         """
         if not self.dynamic:
             raise TypeError(
@@ -712,7 +708,6 @@ class MCUCQIndex(UnionServingMixin):
                     touched, key=lambda t: (t[0], row_sort_key(t[1]))
                 )
             ])
-        self._union.refresh()
         self._publish()
 
     # ------------------------------------------------------------------ #
@@ -728,18 +723,16 @@ class MCUCQIndex(UnionServingMixin):
         returns the pre-mutation snapshot: members and intersections
         publish their own forest snapshots as they absorb the write, but
         the union version flips only at the final reference swap, after
-        ``UnionRandomAccess.refresh()``.
+        the new version's :class:`UnionRandomAccess` is built.
         """
         return self._snapshot
 
     def _publish(self) -> UnionIndexSnapshot:
         """Pin every member/intersection snapshot into one union version.
 
-        Runs right after ``self._union.refresh()``, and the snapshots
-        being pinned carry exactly the counts that refresh read — so the
-        just-computed overlap/suffix tables are handed to the snapshot
-        instead of being recomputed (``refresh`` rebinds fresh lists each
-        time, so sharing them is safe).
+        The snapshot's :class:`UnionRandomAccess` computes the overlap and
+        suffix-count tables once, from the pinned counts, and becomes the
+        index's own read path too.
         """
         self.publishes += 1
         snapshot = UnionIndexSnapshot(
@@ -750,9 +743,9 @@ class MCUCQIndex(UnionServingMixin):
             },
             self.head_variables,
             self.publishes,
-            tables=(self._union._overlap, self._union._suffix_count),
             store=self.store,
         )
+        self._union = snapshot._union
         self._snapshot = snapshot  # the atomic publication point
         return snapshot
 

@@ -5,7 +5,7 @@ A :class:`Delta` is an ordered collection of fact operations
 It is *the* unit of writing: :meth:`repro.database.database.Database.apply`
 consumes one with a single version bump, and
 :meth:`repro.service.query_service.QueryService.apply` amortizes index
-maintenance — bucket grouping, one propagation pass, one union refresh,
+maintenance — bucket grouping, one propagation pass, one union publication,
 one republication per cache slot — across the whole batch instead of per fact.
 
 Normalization (last-op-wins)

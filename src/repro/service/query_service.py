@@ -12,7 +12,7 @@ which holds one :class:`~repro.service.cache.Slot` per canonical query key
 * ``index(q)`` — the live (writer-side) index behind a query's slot;
 * ``apply(delta)`` / ``transaction()`` — batched writes: a whole
   :class:`~repro.database.delta.Delta` with one version bump, one lock
-  acquisition, one republication per cached slot, and one union refresh
+  acquisition, one republication per cached slot, and one union publication
   per dynamic UCQ entry (``insert`` / ``delete`` are thin one-fact deltas;
   set semantics: re-inserting an existing fact or deleting an absent one
   is a no-op that keeps the cache warm);
@@ -597,8 +597,8 @@ class QueryService:
         cache walk happens **once**, under the service's one write lock —
         one republication per slot, whose update-capable index absorbs the
         *effective* sub-delta through its ``apply_delta`` (grouped buckets, one deduplicated
-        propagation pass, and for a dynamic union exactly one
-        ``UnionRandomAccess.refresh`` instead of one per fact).
+        propagation pass, and for a dynamic union exactly one union
+        publication instead of one per fact).
 
         ``delta`` may also be a plain iterable of ``(op, relation, row)``
         triples; every op is validated up front

@@ -1,5 +1,6 @@
-"""Tests for the shared access engine: both bucket stores drive the same
-walks, and the static/dynamic indexes stay interchangeable through them."""
+"""Tests for the shared access engine: the static stores and the dynamic
+treaps' frozen views drive the same walks, and the static/dynamic indexes
+stay interchangeable through them."""
 
 import random
 
@@ -9,6 +10,7 @@ from repro import CQIndex, Database, DynamicCQIndex, Relation, parse_cq
 from repro.core import access_engine
 from repro.core.dynamic import _DynamicBucket
 from repro.core.index import _Bucket
+from repro.core.order_tree import OrderedWeightTree, SnapshotBucketStore
 
 
 QUERY = parse_cq(
@@ -25,36 +27,49 @@ def _db():
     ])
 
 
-def _flat_buckets(entries):
-    """Flat-backend stores over ``entries``, when numpy is available:
-    the dynamic slab bucket and its frozen snapshot view."""
-    try:
-        from repro.core.flat_store import FlatDynamicBucket
-    except ImportError:
-        return []
+def _has_numpy():
     try:
         import numpy  # noqa: F401
     except ImportError:
-        return []
-    dynamic = FlatDynamicBucket.from_sorted_rows(entries)
-    return [dynamic, dynamic.freeze()]
+        return False
+    return True
+
+
+def _static_stores(rule, relations, **kwargs):
+    """The root ``()`` bucket of a static index over each backend (the
+    columnar one when numpy is available), rank tables built."""
+    stores = []
+    for store in ("tuple", "flat") if _has_numpy() else ("tuple",):
+        index = CQIndex(parse_cq(rule), Database(relations), store=store, **kwargs)
+        index.ensure_inverted_support()
+        stores.append(index.roots[0].buckets[()])
+    return stores
+
+
+def _frozen_stores(entries):
+    """Both treaps' frozen views over ``entries``: the read side of the
+    dynamic bucket (the slab treap when numpy is available)."""
+    tree_classes = [OrderedWeightTree]
+    if _has_numpy():
+        from repro.core.flat_store import FlatOrderTree
+
+        tree_classes.append(FlatOrderTree)
+    return [_DynamicBucket(tree, entries).freeze() for tree in tree_classes]
 
 
 class TestBucketStoreProtocol:
     def test_all_buckets_satisfy_the_protocol(self):
-        static = _Bucket([(1,), (2,)])
-        static.finalize([1, 1])
         entries = [((1,), 1, 1), ((2,), 1, 1)]
-        dynamic = _DynamicBucket.from_sorted_rows(entries)
-        buckets = [static, dynamic] + _flat_buckets(entries)
+        buckets = _static_stores(
+            "Q(a) :- R(a)", [Relation("R", ("a",), [(1,), (2,)])]
+        ) + _frozen_stores(entries)
+        assert len(buckets) == (4 if _has_numpy() else 2)
         for bucket in buckets:
             assert isinstance(bucket, access_engine.BucketStore)
             assert bucket.total == 2
             assert bucket.locate_run(0) == ((1,), 0, 1)
             assert bucket.locate_run(1) == ((2,), 1, 1)
             assert list(bucket.iter_rows()) == [((1,), 1), ((2,), 1)]
-        static.build_rank()
-        for bucket in buckets:
             assert bucket.rank_start((2,)) == 1
             assert bucket.rank_start((9,)) is None
             # rank_before places rows that are not there, too.
@@ -63,23 +78,33 @@ class TestBucketStoreProtocol:
             assert bucket.rank_before((1.5,)) == (1, False)
             assert bucket.rank_before((2,)) == (1, True)
             assert bucket.rank_before((9,)) == (2, False)
+        # The live dynamic bucket is write-only.
+        live = _DynamicBucket(OrderedWeightTree, entries)
+        assert not isinstance(live, access_engine.BucketStore)
 
     def test_unit_leaf_split(self):
         assert _Bucket.unit_leaf is True
-        assert _DynamicBucket.unit_leaf is False
+        assert SnapshotBucketStore.unit_leaf is False
+        assert not hasattr(_DynamicBucket, "unit_leaf")
         flat = pytest.importorskip("repro.core.flat_store")
         pytest.importorskip("numpy")
         assert flat.FlatBucketStore.unit_leaf is True
-        assert flat.FlatDynamicBucket.unit_leaf is False
         assert flat.FlatSnapshotStore.unit_leaf is False
 
     def test_zero_weight_rows_do_not_rank(self):
-        static = _Bucket([(1,), (2,)])
-        static.finalize([0, 3])
-        static.build_rank()
+        # Without the reducer the dangling root row (1,) stays, weight 0.
+        static = _static_stores(
+            "Q(a, b) :- R(a), S(a, b)",
+            [
+                Relation("R", ("a",), [(1,), (2,)]),
+                Relation("S", ("a", "b"), [(2, "x"), (2, "y"), (2, "z")]),
+            ],
+            reduce=False,
+            root_atom=0,
+        )
         entries = [((1,), 0, 1), ((2,), 3, 1)]
-        dynamic = _DynamicBucket.from_sorted_rows(entries)
-        for bucket in [static, dynamic] + _flat_buckets(entries):
+        for bucket in static + _frozen_stores(entries):
+            assert list(bucket.iter_rows()) == [((1,), 0), ((2,), 3)]
             assert bucket.rank_start((1,)) is None  # dangling
             assert bucket.rank_start((2,)) == 0
             assert bucket.rank_before((1,)) == (0, False)  # there, not participating

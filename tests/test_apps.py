@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import CQIndex, Database, Relation, parse_cq
+from repro import CQIndex, Database, MCUCQIndex, Relation, parse_cq, parse_ucq
 from repro.apps import OnlineAggregator, Paginator, estimate_mean
 
 
@@ -112,6 +112,23 @@ class TestPaginator:
         assert pages.page_of_answer(answer) == 31 // 9
         assert answer in pages.page(31 // 9)
         assert pages.page_of_answer(("no", "such", "row")) is None
+
+    def test_page_of_answer_on_a_union_raises_instead_of_none(self):
+        # A union index serves answers but has no inverted access: a None
+        # page would read as "not an answer".
+        db = Database([
+            Relation("R", ("a", "b"), [(1, 10), (2, 20)]),
+            Relation("T", ("a", "b"), [(2, 20), (3, 30)]),
+            Relation("S", ("b", "c"), [(10, "x"), (20, "y"), (30, "z")]),
+        ])
+        ucq = parse_ucq(
+            "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- T(a, b), S(b, c)"
+        )
+        for index in (MCUCQIndex(ucq, db), MCUCQIndex(ucq, db, dynamic=True)):
+            answer = index.access(0)
+            assert answer in index
+            with pytest.raises(ValueError):
+                Paginator(index, page_size=2).page_of_answer(answer)
 
     def test_invalid_page_size(self, numeric_index):
         with pytest.raises(ValueError):

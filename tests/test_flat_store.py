@@ -3,8 +3,9 @@
 The slab-treap suite mirrors ``test_order_tree.py`` — same reference
 model, same scenarios — with handles being stable integer row ids
 instead of node objects. On top of that: snapshot copy-on-write under
-every mutation kind, the read-only store views, and the backend
-selector (``resolve_store`` / ``REPRO_STORE``).
+every mutation kind, the read-only store views, the dynamic bucket over
+either treap, and the backend selector (``resolve_store`` /
+``REPRO_STORE``).
 """
 
 import random
@@ -14,13 +15,14 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core import flat_store
+from repro.core.dynamic import _DynamicBucket
 from repro.core.flat_store import (
-    FlatDynamicBucket,
     FlatOrderTree,
     FlatOverflowError,
     FlatSnapshotStore,
     resolve_store,
 )
+from repro.core.order_tree import OrderedWeightTree, SnapshotBucketStore
 from repro.database.relation import row_sort_key
 
 
@@ -36,17 +38,19 @@ def _check_against_reference(tree, rank, entries):
     assert tree.total == sum(w for __, w, __m in reference)
     # In-order traversal reproduces the canonical row order.
     assert [tree.rows[rid] for rid in tree] == [r for r, __, __m in reference]
+    # The frozen view ranks each row at the running prefix sum and
+    # locates every offset inside a positive-weight row's range.
+    view = tree.snapshot()
     running = 0
     for row, weight, multiplicity in reference:
         row_id = rank[row]
+        assert tree.rows[row_id] == row
         assert tree.row_weight(row_id) == weight
-        assert tree.multiplicity[row_id] == multiplicity
-        assert tree.prefix_of(row_id) == running
+        assert tree.row_multiplicity(row_id) == multiplicity
+        assert view.rank_before(row) == (running, weight > 0)
         for offset in (running, running + weight - 1):
             if weight > 0:
-                located, start = tree.locate(offset)
-                assert located == row_id
-                assert start == running
+                assert view.locate_run(offset) == (row, running, weight)
         running += weight
 
 
@@ -77,7 +81,7 @@ class TestBulkBuild:
         tree, row_ids = FlatOrderTree.from_sorted([])
         assert tree.total == 0 and len(tree) == 0 and row_ids == []
         with pytest.raises(IndexError):
-            tree.locate(0)
+            tree.snapshot().locate_run(0)
 
     def test_build_matches_reference(self):
         entries = _reference(
@@ -114,7 +118,7 @@ class TestInsertSorted:
         assert len(new) == len(batch)
         for entry, rid in zip(batch, new):
             rank[entry[0]] = rid
-        # Old row-id handles still resolve through prefix_of/locate.
+        # Old row-id handles still name their rows.
         _check_against_reference(tree, rank, entries + batch)
 
     def test_bulk_insert_into_empty_tree(self):
@@ -153,11 +157,12 @@ class TestUpdates:
         rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
         # Tombstone (2,): weight 0 keeps the survivors' prefixes compact.
         tree.set_weight(rank[(2,)], 0)
-        tree.multiplicity[rank[(2,)]] = 0
+        tree.set_multiplicity(rank[(2,)], 0)
         assert tree.total == 5
-        assert tree.prefix_of(rank[(3,)]) == 2  # (2,) no longer counts
-        located, start = tree.locate(2)
-        assert located == rank[(3,)] and start == 2
+        view = tree.snapshot()
+        assert view.rank_before((3,)) == (2, True)  # (2,) no longer counts
+        assert view.rank_before((2,)) == (2, False)
+        assert view.locate_run(2) == ((3,), 2, 1)
 
     def test_randomized_against_reference_model(self):
         rng = random.Random(7)
@@ -178,7 +183,7 @@ class TestUpdates:
                 multiplicity = rng.randrange(2)
                 model[row] = (weight, multiplicity)
                 tree.set_weight(rank[row], weight)
-                tree.multiplicity[rank[row]] = multiplicity
+                tree.set_multiplicity(rank[row], multiplicity)
             if step % 50 == 49:
                 entries = [(row, w, m) for row, (w, m) in model.items()]
                 _check_against_reference(tree, rank, entries)
@@ -214,9 +219,9 @@ class TestUpdates:
             tree.set_weight(rid, 2 ** 62)
 
 
-def _frozen_reference(frozen, entries):
-    """A FrozenFlatTree must serve exactly its capture-time state."""
-    store = FlatSnapshotStore(frozen)
+def _frozen_reference(store, entries):
+    """A FlatSnapshotStore must serve exactly its capture-time state."""
+    assert isinstance(store, FlatSnapshotStore)
     reference = _reference(entries)
     live = [(row, w) for row, w, m in reference if w > 0]
     assert store.total == sum(w for __, w in live)
@@ -289,77 +294,103 @@ class TestSnapshotCopyOnWrite:
                     weight = rng.randrange(4)
                     model[row] = (weight, 1 if weight else 0)
                     tree.set_weight(rank[row], weight)
-                    tree.multiplicity[rank[row]] = model[row][1]
+                    tree.set_multiplicity(rank[row], model[row][1])
         for frozen, entries in captured:
             _frozen_reference(frozen, entries)
 
 
+#: The merged dynamic bucket runs over either treap.
+TREE_CLASSES = (OrderedWeightTree, FlatOrderTree)
+
+
 class TestFlatDynamicBucket:
+    """The one dynamic bucket, over both tree classes: write-only, read
+    through its frozen view."""
+
     def test_protocol_and_maintenance(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 2, 1) for i in range(5)])
-        )
-        assert bucket.unit_leaf is False
-        assert bucket.total == 10
-        assert bucket.locate_run(5) == ((2,), 4, 2)
-        assert bucket.rank_start((3,)) == 6
-        assert bucket.rank_start((9,)) is None
-        assert bucket.has_row((4,)) and not bucket.has_row((9,))
-        assert bucket.is_present((4,))
-        assert bucket.multiplicity_of((4,)) == 1
-        # Delete via multiplicity 0 + weight 0: a tombstone.
-        bucket.set_multiplicity((1,), 0)
-        bucket.set_row_weight((1,), 0)
-        assert bucket.tombstones == 1
-        assert not bucket.is_present((1,))
-        assert bucket.has_row((1,))  # the row survives as a tombstone
-        assert bucket.rank_start((1,)) is None
-        assert bucket.total == 8
-        # Resurrect it.
-        bucket.set_multiplicity((1,), 2)
-        bucket.set_row_weight((1,), 2)
-        assert bucket.tombstones == 0
-        assert bucket.is_present((1,)) and bucket.total == 10
+        for tree_class in TREE_CLASSES:
+            bucket = _DynamicBucket(
+                tree_class, _reference([((i,), 2, 1) for i in range(5)])
+            )
+            for name in ("locate_run", "rank_start", "rank_before",
+                         "iter_rows", "unit_leaf"):
+                assert not hasattr(bucket, name)
+            view = bucket.freeze()
+            assert isinstance(view, (SnapshotBucketStore, FlatSnapshotStore))
+            assert view.unit_leaf is False
+            assert bucket.total == view.total == 10
+            assert view.locate_run(5) == ((2,), 4, 2)
+            assert view.rank_start((3,)) == 6
+            assert view.rank_start((9,)) is None
+            assert bucket.has_row((4,)) and not bucket.has_row((9,))
+            assert bucket.is_present((4,))
+            assert bucket.multiplicity_of((4,)) == 1
+            assert bucket.multiplicity_of((9,)) is None
+            # Delete via multiplicity 0 + weight 0: a tombstone.
+            bucket.set_multiplicity((1,), 0)
+            bucket.set_row_weight((1,), 0)
+            assert bucket.tombstones == 1
+            assert not bucket.is_present((1,))
+            assert bucket.has_row((1,))  # the row survives as a tombstone
+            assert bucket.freeze().rank_start((1,)) is None
+            assert bucket.total == 8
+            assert view.total == 10  # the earlier view never moves
+            # Resurrect it.
+            bucket.set_multiplicity((1,), 2)
+            bucket.set_row_weight((1,), 2)
+            assert bucket.tombstones == 0
+            assert bucket.is_present((1,)) and bucket.total == 10
 
     def test_freeze_is_memoized_and_invalidated(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(4)])
-        )
-        first = bucket.freeze()
-        assert bucket.freeze() is first  # unchanged → same frozen view
-        # An equal-weight write is a no-op and must not invalidate.
-        bucket.set_row_weight((2,), 1)
-        assert bucket.freeze() is first
-        bucket.set_row_weight((2,), 5)
-        second = bucket.freeze()
-        assert second is not first
-        assert first.total == 4 and second.total == 8
-        assert list(first.iter_rows()) == [((i,), 1) for i in range(4)]
+        for tree_class in TREE_CLASSES:
+            bucket = _DynamicBucket(
+                tree_class, _reference([((i,), 1, 1) for i in range(4)])
+            )
+            first = bucket.freeze()
+            assert bucket.freeze() is first  # unchanged → same frozen view
+            # An equal-weight write is a no-op and must not invalidate.
+            bucket.set_row_weight((2,), 1)
+            assert bucket.freeze() is first
+            bucket.set_row_weight((2,), 5)
+            second = bucket.freeze()
+            assert second is not first
+            assert first.total == 4 and second.total == 8
+            assert list(first.iter_rows()) == [((i,), 1) for i in range(4)]
 
     def test_compact_drops_tombstones_and_keeps_rank(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(8)])
-        )
-        for i in range(0, 8, 2):
-            bucket.set_multiplicity((i,), 0)
-            bucket.set_row_weight((i,), 0)
-        assert bucket.tombstones == 4
-        bucket.compact()
-        assert bucket.tombstones == 0
-        assert bucket.total == 4
-        assert list(bucket.iter_rows()) == [((i,), 1) for i in range(1, 8, 2)]
-        assert bucket.rank_start((5,)) == 2
-        bucket.set_row_weight((5,), 3)  # old rank handles still work
-        assert bucket.total == 6
+        for tree_class in TREE_CLASSES:
+            bucket = _DynamicBucket(
+                tree_class, _reference([((i,), 1, 1) for i in range(8)])
+            )
+            bucket.freeze()  # frozen spines: the writes below path-copy
+            for i in range(0, 8, 2):
+                bucket.set_multiplicity((i,), 0)
+                bucket.set_row_weight((i,), 0)
+            assert bucket.tombstones == 4
+            bucket.compact()
+            assert bucket.tombstones == 0
+            assert bucket.total == 4 and len(bucket) == 4
+            view = bucket.freeze()
+            assert list(view.iter_rows()) == [((i,), 1) for i in range(1, 8, 2)]
+            assert view.rank_start((5,)) == 2
+            bucket.set_row_weight((5,), 3)  # old rank handles still work
+            assert bucket.total == 6
+            assert bucket.freeze().rank_start((7,)) == 5
 
     def test_bulk_insert(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(0, 10, 2)])
-        )
-        bucket.bulk_insert(_reference([((i,), 2, 1) for i in range(1, 10, 2)]))
-        assert list(bucket.iter_rows()) == [
-            ((i,), 1 if i % 2 == 0 else 2) for i in range(10)
-        ]
+        for tree_class in TREE_CLASSES:
+            bucket = _DynamicBucket(
+                tree_class, _reference([((i,), 1, 1) for i in range(0, 10, 2)])
+            )
+            bucket.freeze()
+            bucket.bulk_insert(
+                _reference([((i,), 2, 1) for i in range(1, 10, 2)])
+            )
+            bucket.bulk_insert([((10,), 0, 0)])
+            assert bucket.tombstones == 1
+            assert list(bucket.freeze().iter_rows()) == [
+                ((i,), 1 if i % 2 == 0 else 2) for i in range(10)
+            ] + [((10,), 0)]
 
 
 class TestResolveStore:

@@ -20,20 +20,26 @@ def _check_against_reference(tree, rank, entries):
     assert tree.total == sum(w for __, w, __m in reference)
     # In-order traversal reproduces the canonical row order.
     assert [n.row for n in tree] == [row for row, __, __m in reference]
-    # prefix_of agrees with the running prefix sum; locate() inverts it for
-    # every offset inside a positive-weight row's range.
+    live = {id(n) for n in tree}
+    # The frozen view ranks each row at the running prefix sum and
+    # locates every offset inside a positive-weight row's range.
+    view = tree.snapshot()
     running = 0
     for row, weight, multiplicity in reference:
         node = rank[row]
-        assert node.weight == weight
-        assert node.multiplicity == multiplicity
-        assert tree.prefix_of(node) == running
+        assert id(node) in live  # the handle is the live node
+        assert tree.row_weight(node) == weight
+        assert tree.row_multiplicity(node) == multiplicity
+        assert view.rank_before(row) == (running, weight > 0)
         for offset in (running, running + weight - 1):
             if weight > 0:
-                located, start = tree.locate(offset)
-                assert located is node
-                assert start == running
+                assert view.locate_run(offset) == (row, running, weight)
         running += weight
+
+
+def _follow_clones(tree, rank):
+    """Keep ``rank`` on the live nodes once a snapshot freezes them."""
+    tree.on_clone = lambda node: rank.__setitem__(node.row, node)
 
 
 class TestBulkBuild:
@@ -41,7 +47,7 @@ class TestBulkBuild:
         tree, nodes = OrderedWeightTree.from_sorted([])
         assert tree.total == 0 and len(tree) == 0 and nodes == []
         with pytest.raises(IndexError):
-            tree.locate(0)
+            tree.snapshot().locate_run(0)
 
     def test_build_matches_reference(self):
         entries = [((i, chr(97 + i % 3)), i % 4, 1) for i in range(50)]
@@ -103,7 +109,7 @@ class TestInsertSorted:
         for node in new:
             rank[node.row] = node
         entries = [((i, "x"), 1, 1) for i in range(0, 40, 4)] + batch
-        # Old handles still resolve: prefix_of/locate work through them.
+        # Old handles are still the live nodes.
         _check_against_reference(tree, rank, _reference(entries))
 
     def test_bulk_insert_into_empty_tree(self):
@@ -151,16 +157,18 @@ class TestUpdates:
         # Tombstone (2,): weight 0 keeps the survivors' prefixes compact.
         node = rank[(2,)]
         tree.set_weight(node, 0)
-        node.multiplicity = 0
+        tree.set_multiplicity(node, 0)
         assert tree.total == 5
-        assert tree.prefix_of(rank[(3,)]) == 2  # (2,) no longer counts
-        located, start = tree.locate(2)
-        assert located is rank[(3,)] and start == 2
+        view = tree.snapshot()
+        assert view.rank_before((3,)) == (2, True)  # (2,) no longer counts
+        assert view.rank_before((2,)) == (2, False)
+        assert view.locate_run(2) == ((3,), 2, 1)
 
     def test_randomized_against_reference_model(self):
         rng = random.Random(7)
         tree, nodes = OrderedWeightTree.from_sorted([])
         rank = {}
+        _follow_clones(tree, rank)
         model = {}
         for step in range(400):
             action = rng.random()
@@ -176,7 +184,7 @@ class TestUpdates:
                 multiplicity = rng.randrange(2)
                 model[row] = (weight, multiplicity)
                 tree.set_weight(rank[row], weight)
-                rank[row].multiplicity = multiplicity
+                tree.set_multiplicity(rank[row], multiplicity)
             if step % 50 == 49:
                 entries = [(row, w, m) for row, (w, m) in model.items()]
                 _check_against_reference(tree, rank, entries)
@@ -184,10 +192,10 @@ class TestUpdates:
     def test_compacted_drops_only_tombstones(self):
         entries = _reference([((i,), 1 if i % 2 else 0, i % 2) for i in range(10)])
         tree, nodes = OrderedWeightTree.from_sorted(entries)
-        compacted, new_nodes = tree.compacted()
+        compacted, pairs = tree.compacted()
         assert [n.row for n in compacted] == [(i,) for i in range(10) if i % 2]
         assert compacted.total == tree.total
-        rank = {n.row: n for n in new_nodes}
+        rank = dict(pairs)
         _check_against_reference(
             compacted, rank, [e for e in entries if e[2] > 0]
         )

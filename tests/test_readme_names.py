@@ -1,12 +1,15 @@
 """The README names only what ``src/`` still has.
 
-Three checks over ``README.md``:
+Four checks over ``README.md``:
 
 * every ``service.<name>`` / ``cursor.<name>`` it writes (prose and code
   blocks alike) is an attribute of ``QueryService`` / ``Cursor``;
 * every back-ticked ``Class.attr`` whose class is defined under
   ``src/repro`` resolves — inherited names, NamedTuple fields and
   ``self.attr`` assignments included;
+* every back-ticked ``module.name`` / ``module.Class.attr`` whose module
+  is importable under ``repro`` (``faults.arm``,
+  ``repro.core.dynamic.DynamicCQIndex``) resolves the same way;
 * every back-ticked ``*.py`` path exists (relative to the repository, to
   ``src/`` or to ``src/repro/``).
 """
@@ -96,6 +99,47 @@ def test_backticked_class_attributes_resolve():
                 for module, name in classes[owner]
             ):
                 missing.append(f"{owner}.{attribute}")
+    assert not missing
+
+
+#: Instance names the README writes methods on (``service.apply``,
+#: ``database.pin()``) that are also package names under ``repro``.
+RECEIVERS = ("service", "database", "server")
+
+
+def _module_span_resolves(dotted: str):
+    """``None`` when no prefix of ``dotted`` is a module under ``repro``;
+    else whether the rest of it names attributes, outermost first."""
+    parts = dotted.split(".")
+    if parts[0] == "repro":
+        parts = parts[1:]
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module("repro." + ".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            names = _names(owner) if inspect.isclass(owner) else set(dir(owner))
+            if attribute not in names:
+                return False
+            owner = getattr(owner, attribute, None)
+        return True
+    return None
+
+
+def test_backticked_module_names_resolve():
+    checked = []
+    missing = []
+    for span in SPANS:
+        for dotted in re.findall(r"(?<![\w./])([a-z_]\w*(?:\.[A-Za-z_]\w*)+)", span):
+            if dotted.split(".")[0] in RECEIVERS:
+                continue
+            resolved = _module_span_resolves(dotted)
+            if resolved is not None:
+                checked.append(dotted)
+                if not resolved:
+                    missing.append(dotted)
+    assert checked
     assert not missing
 
 

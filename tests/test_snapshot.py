@@ -1,7 +1,7 @@
 """Snapshot-isolated reads: published index versions never move.
 
 Covers the full stack — treap copy-on-write (`order_tree`), the frozen
-bucket store (`access_engine.SnapshotBucketStore`), forest snapshots
+bucket store (`order_tree.SnapshotBucketStore`), forest snapshots
 (`dynamic.IndexSnapshot`), union snapshots
 (`union_access.UnionIndexSnapshot`), and the service/cursor read path
 (pinning one published `(version, view)` pair, stats counters).
@@ -12,8 +12,7 @@ import random
 import pytest
 
 from repro import CQIndex, Database, DynamicCQIndex, QueryService, Relation, parse_cq, parse_ucq
-from repro.core.access_engine import SnapshotBucketStore
-from repro.core.order_tree import OrderedWeightTree
+from repro.core.order_tree import OrderedWeightTree, SnapshotBucketStore
 from repro.core.union_access import MCUCQIndex
 from repro.service.cursor import StaleCursorError
 
@@ -43,7 +42,7 @@ class TestTreeCopyOnWrite:
     def test_snapshot_survives_set_weight_and_inserts(self):
         tree, rank = self._build(range(10))
         tree.on_clone = lambda node: rank.__setitem__(node.row, node)
-        frozen = SnapshotBucketStore(tree.snapshot())
+        frozen = tree.snapshot()
         before = list(frozen.iter_rows())
         assert frozen.total == 10
         rank[(3,)] = tree.set_weight(rank[(3,)], 5)
@@ -53,12 +52,13 @@ class TestTreeCopyOnWrite:
         assert tree.total == 16
         # The live handle map followed the path copies.
         assert rank[(3,)].weight == 5
-        assert tree.prefix_of(rank[(9,)]) == 13
+        assert rank[(9,)] in list(tree)
+        assert tree.snapshot().rank_start((9,)) == 13
 
     def test_snapshot_survives_merge_rebuild_bulk_insert(self):
         tree, rank = self._build(range(0, 40, 2))
         tree.on_clone = lambda node: rank.__setitem__(node.row, node)
-        frozen = SnapshotBucketStore(tree.snapshot())
+        frozen = tree.snapshot()
         before = list(frozen.iter_rows())
         # A batch comparable to the tree size takes the O(n + k)
         # merge-rebuild path, which overwrites node pointers — snapshot
@@ -74,7 +74,7 @@ class TestTreeCopyOnWrite:
     def test_frozen_store_locate_and_rank(self):
         tree, rank = self._build(range(6))
         tree.set_weight(rank[(2,)], 0)  # a dangling row: empty range
-        frozen = SnapshotBucketStore(tree.snapshot())
+        frozen = tree.snapshot()
         assert frozen.total == 5
         seen = [frozen.locate_run(offset)[0] for offset in range(frozen.total)]
         assert seen == [(0,), (1,), (3,), (4,), (5,)]
@@ -83,10 +83,11 @@ class TestTreeCopyOnWrite:
         assert frozen.rank_start((42,)) is None  # absent
         with pytest.raises(IndexError):
             frozen.locate_run(5)
-        assert len(frozen) == 6  # tombstones included, like the live store
+        assert len(frozen) == 6  # tombstones included
 
     def test_empty_tree_snapshot(self):
-        frozen = SnapshotBucketStore(OrderedWeightTree().snapshot())
+        frozen = OrderedWeightTree().snapshot()
+        assert isinstance(frozen, SnapshotBucketStore)
         assert frozen.total == 0
         assert list(frozen.iter_rows()) == []
         assert frozen.rank_start((1,)) is None
@@ -139,6 +140,13 @@ class TestForestSnapshot:
         assert list(dynamic.snapshot) == list(dynamic)
 
 
+    def test_forest_reads_only_its_latest_snapshot(self):
+        dynamic = DynamicCQIndex(parse_cq(CHAIN), fresh_db())
+        for write in range(2):
+            assert dynamic.roots is dynamic.snapshot.roots
+            dynamic.insert("R", (70 + write, 1))
+
+
 class TestUnionSnapshot:
     def test_dynamic_union_pins_whole_family(self):
         ucq = parse_ucq(UNION)
@@ -158,6 +166,16 @@ class TestUnionSnapshot:
         assert now.batch(list(range(now.count))) == list(now)
         assert list(now.random_order(random.Random(2))) == \
             list(dynamic.random_order(random.Random(2)))
+
+    def test_dynamic_union_reads_through_its_snapshot(self):
+        dynamic = MCUCQIndex(parse_ucq(UNION), union_db(), dynamic=True)
+        for write in range(2):
+            # No access structure over the live members: the index reads
+            # through the one its latest snapshot built.
+            assert dynamic._union is dynamic.snapshot._union
+            assert dynamic._union.members == dynamic.snapshot.member_snapshots
+            dynamic.insert("R", (80 + write, 2))
+        assert not hasattr(dynamic._union, "refresh")
 
     def test_static_union_publishes_nothing(self):
         static = MCUCQIndex(parse_ucq(UNION), union_db())
