@@ -112,6 +112,11 @@ class HttpError(ReproError):
         self.payload = {"error": message, **extra}
 
 
+def _clamped_range(start: int, stop: int):
+    """``positions_of`` for :meth:`ReproApp._batch_read`: ``start:stop``."""
+    return lambda count: range(min(start, count), min(stop, count))
+
+
 def query_id_of(query) -> str:
     """The canonical id of a query: a digest of its structural key.
 
@@ -182,7 +187,6 @@ class ReproApp:
                 elif message["type"] == "lifespan.shutdown":
                     await send({"type": "lifespan.shutdown.complete"})
                     return
-            return
         if scope["type"] != "http":  # pragma: no cover - websocket etc.
             return
         body = io.BytesIO()
@@ -219,10 +223,7 @@ class ReproApp:
             (b"content-length", str(len(body)).encode("ascii")),
         ]
         for name, value in extra_headers or ():
-            headers.append((
-                name.encode("latin-1") if isinstance(name, str) else name,
-                value.encode("latin-1") if isinstance(value, str) else value,
-            ))
+            headers.append((name.encode("latin-1"), value.encode("latin-1")))
         await send({
             "type": "http.response.start",
             "status": status,
@@ -327,12 +328,8 @@ class ReproApp:
         address is the default that requires no cooperation.
         """
         for name, value in headers or ():
-            if isinstance(name, bytes):
-                name = name.decode("latin-1")
-            if name.lower() == "x-client-id":
-                if isinstance(value, bytes):
-                    value = value.decode("latin-1")
-                value = value.strip()
+            if name.lower() == b"x-client-id":
+                value = value.decode("latin-1").strip()
                 if value:
                     return value
         if client:
@@ -448,17 +445,9 @@ class ReproApp:
     # ------------------------------------------------------------------ #
 
     def handle_register_query(self, payload):
-        text = payload.get("query")
-        if not isinstance(text, str) or not text.strip():
-            raise HttpError(400, 'expected {"query": "<datalog rule(s)>"}')
-        try:
-            query = self.service.resolve(text)
-        except ReproError as error:
-            raise HttpError(400, f"cannot parse query: {error}")
-        query_id = query_id_of(query)
-        # Idempotent: re-registering any textual variant of the same
-        # canonical query returns the same id.
-        self.queries.setdefault(query_id, query)
+        query, query_id = self._register(
+            payload.get("query"), 'expected {"query": "<datalog rule(s)>"}'
+        )
         members = (
             query.queries
             if isinstance(query, UnionOfConjunctiveQueries)
@@ -475,6 +464,23 @@ class ReproApp:
             ),
         }
 
+    def _register(self, text, usage: str):
+        """Parse ``text`` and register it; returns ``(query, id)``.
+
+        Idempotent: re-registering any textual variant of the same
+        canonical query returns the same id. ``usage`` is the ``400``
+        message for a missing or blank ``text``.
+        """
+        if not isinstance(text, str) or not text.strip():
+            raise HttpError(400, usage)
+        try:
+            query = self.service.resolve(text)
+        except ReproError as error:
+            raise HttpError(400, f"cannot parse query: {error}")
+        query_id = query_id_of(query)
+        self.queries.setdefault(query_id, query)
+        return query, query_id
+
     def _resolve_query(self, payload):
         """The query named by an open-cursor body: inline or registered."""
         query_id = payload.get("query_id")
@@ -483,18 +489,10 @@ class ReproApp:
             if query is None:
                 raise HttpError(404, f"unknown query id {query_id!r}")
             return query, query_id
-        text = payload.get("query")
-        if not isinstance(text, str) or not text.strip():
-            raise HttpError(
-                400, 'expected {"query": "<rule>"} or {"query_id": "<id>"}'
-            )
-        try:
-            query = self.service.resolve(text)
-        except ReproError as error:
-            raise HttpError(400, f"cannot parse query: {error}")
-        query_id = query_id_of(query)
-        self.queries.setdefault(query_id, query)
-        return query, query_id
+        return self._register(
+            payload.get("query"),
+            'expected {"query": "<rule>"} or {"query_id": "<id>"}',
+        )
 
     # ------------------------------------------------------------------ #
     # Cursor sessions                                                     #
@@ -584,62 +582,58 @@ class ReproApp:
     def handle_page(self, session_id, params):
         number = self._int_param(params, "number", 0, minimum=0)
         size = self._int_param(params, "size", 10, minimum=1)
-
-        def read(cursor):
-            view = cursor.pinned
-            version = cursor.version
-            count = view.count
-            start = number * size
-            answers = view.batch(range(min(start, count), min(start + size, count)))
-            return {
-                "answers": [list(a) for a in answers],
-                "number": number,
-                "size": size,
-                "count": count,
-                "version": version,
-                "charge": len(answers),
-            }
-
-        return self._read(session_id, read)
+        start = number * size
+        return self._batch_read(
+            session_id, _clamped_range(start, start + size),
+            number=number, size=size,
+        )
 
     def handle_batch(self, session_id, params):
         positions = params.get("positions")
-        if positions is not None:
-            try:
-                wanted = [int(p) for p in positions.split(",") if p.strip()]
-            except ValueError:
-                raise HttpError(
-                    400, "positions must be a comma-separated list of integers"
-                )
-            if not wanted:
-                raise HttpError(400, "positions must name at least one position")
-        else:
+        if positions is None:
             start = self._int_param(params, "start", None, minimum=0)
             stop = self._int_param(params, "stop", None, minimum=0)
             if start is None or stop is None:
                 raise HttpError(
                     400, "expected positions=... or start=...&stop=..."
                 )
-            wanted = None
+            return self._batch_read(session_id, _clamped_range(start, stop))
+        try:
+            wanted = [int(p) for p in positions.split(",") if p.strip()]
+        except ValueError:
+            raise HttpError(
+                400, "positions must be a comma-separated list of integers"
+            )
+        if not wanted:
+            raise HttpError(400, "positions must name at least one position")
 
+        def in_bound(count):
+            out_of_bound = [p for p in wanted if not 0 <= p < count]
+            if out_of_bound:
+                raise HttpError(
+                    400,
+                    f"positions out of bound: {out_of_bound} "
+                    f"(count is {count})",
+                    count=count,
+                )
+            return wanted
+
+        return self._batch_read(session_id, in_bound)
+
+    def _batch_read(self, session_id, positions_of, **fields):
+        """Serve ``positions_of(count)`` from one pinned view.
+
+        The payload carries the answers, then ``fields``, then the
+        view's ``count`` and ``version``.
+        """
         def read(cursor):
             view = cursor.pinned
             version = cursor.version
             count = view.count
-            if wanted is not None:
-                out_of_bound = [p for p in wanted if not 0 <= p < count]
-                if out_of_bound:
-                    raise HttpError(
-                        400,
-                        f"positions out of bound: {out_of_bound} "
-                        f"(count is {count})",
-                        count=count,
-                    )
-                answers = view.batch(wanted)
-            else:
-                answers = view.batch(range(min(start, count), min(stop, count)))
+            answers = view.batch(positions_of(count))
             return {
                 "answers": [list(a) for a in answers],
+                **fields,
                 "count": count,
                 "version": version,
                 "charge": len(answers),

@@ -6,43 +6,100 @@ production deployments run the app under ``uvicorn``/``gunicorn``
 the library must serve real HTTP with **zero** third-party packages —
 for ``repro serve`` out of the box, for the test suite, and for the
 ``bench_http`` gate. This module is that floor: a
-:class:`~http.server.ThreadingHTTPServer` whose handler translates each
-request into one ASGI ``http`` scope and drives the app coroutine to
-completion on a per-request event loop.
+:class:`~http.server.ThreadingHTTPServer` whose handler frames each
+request (a ``Content-Length`` body of at most the app's
+``MAX_BODY_BYTES``; anything else is refused unread) and serves it
+through :func:`exchange`, which the in-process
+:class:`~repro.server.testing.TestClient` calls too.
+
+:func:`exchange` runs the app coroutine with one ``send(None)`` and no
+event loop. :class:`~repro.server.app.ReproApp` awaits only ``receive``
+and ``send``, which complete at once, so it never suspends; an app that
+does suspend gets a ``500`` naming what it awaited.
 
 One thread per connection pairs naturally with the engine's concurrency
 model — reads are wait-free snapshot probes, so N concurrent connections
 page N pinned snapshots without ever blocking on the writer. HTTP/1.1
 keep-alive is supported (responses always carry ``Content-Length``), so
 a session's reads ride one connection.
-
-``asyncio.run`` per request would discard and rebuild an event loop each
-time; the handler instead keeps one loop per *connection thread* (the
-``threading.local`` below), which for keep-alive clients amortizes to
-one loop per client.
 """
 
 from __future__ import annotations
 
-import asyncio
+import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 from urllib.parse import urlsplit
 
-_thread_loops = threading.local()
+from repro.server import app as app_module
 
 
-def _loop() -> asyncio.AbstractEventLoop:
-    loop = getattr(_thread_loops, "loop", None)
-    if loop is None or loop.is_closed():
-        loop = asyncio.new_event_loop()
-        _thread_loops.loop = loop
-    return loop
+def exchange(
+    app, method: str, target: str, headers: Iterable[Tuple[str, str]],
+    body: bytes, client: Tuple[str, int], server: Tuple[str, int],
+) -> Tuple[int, list, bytes]:
+    """Run one ASGI ``http`` exchange; returns ``(status, headers, body)``.
+
+    ``target`` is the request target (path and query string) and
+    ``headers`` its ``(name, value)`` string pairs; the app receives
+    ``body`` as one ``http.request`` message. The app coroutine is
+    stepped once: if it suspends instead of finishing, it is closed and
+    the exchange answers ``500`` naming what it awaited. Exceptions the
+    app raises propagate to the caller.
+    """
+    split = urlsplit(target)
+    scope = {
+        "type": "http",
+        "asgi": {"version": "3.0", "spec_version": "2.3"},
+        "http_version": "1.1",
+        "method": method,
+        "scheme": "http",
+        "path": split.path,
+        "raw_path": target.encode("latin-1"),
+        "query_string": split.query.encode("latin-1"),
+        "root_path": "",
+        "headers": [
+            (name.lower().encode("latin-1"), value.encode("latin-1"))
+            for name, value in headers
+        ],
+        "client": client,
+        "server": server,
+    }
+    messages = [{"type": "http.request", "body": body, "more_body": False}]
+    response = {"status": 500, "headers": [], "body": bytearray()}
+
+    async def receive():
+        return messages.pop() if messages else {"type": "http.disconnect"}
+
+    async def send(message):
+        if message["type"] == "http.response.start":
+            response["status"] = message["status"]
+            response["headers"] = message.get("headers", [])
+        elif message["type"] == "http.response.body":
+            response["body"] += message.get("body", b"")
+
+    coroutine = app(scope, receive, send)
+    try:
+        coroutine.send(None)
+    except StopIteration:
+        return response["status"], response["headers"], bytes(response["body"])
+    awaited = coroutine.cr_await
+    coroutine.close()
+    return _json_error(500, (
+        f"the app suspended awaiting {awaited!r}; this host serves apps that "
+        f"await only receive and send, so run it under an ASGI server such "
+        f"as uvicorn"
+    ))
+
+
+def _json_error(status: int, message: str) -> Tuple[int, list, bytes]:
+    payload = json.dumps({"error": message}).encode("utf-8")
+    return status, [(b"content-type", b"application/json")], payload
 
 
 class ASGIRequestHandler(BaseHTTPRequestHandler):
-    """Translate one HTTP request into one ASGI ``http`` exchange."""
+    """Frame one HTTP request and serve it through :func:`exchange`."""
 
     protocol_version = "HTTP/1.1"
     #: Set by :func:`make_server`.
@@ -55,77 +112,47 @@ class ASGIRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _handle(self) -> None:
-        track = getattr(self.server, "track_request", None)
-        if track is None:
-            self._run_exchange()
-            return
-        if not track():
+        if not self.server.track_request():
             # Draining: the server stopped admitting new work. Answer
             # quickly so clients re-resolve instead of hanging on a
             # half-closed socket.
-            payload = (b'{"error": "server is draining; '
-                       b'connection will not be served"}')
-            self.send_response(503)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-            self.close_connection = True
+            self._refuse(
+                503, "server is draining; connection will not be served"
+            )
             return
         try:
             self._run_exchange()
         finally:
             self.server.untrack_request()
 
+    def _refuse(self, status: int, message: str) -> None:
+        _, headers, payload = _json_error(status, message)
+        # send_header("connection", "close") also sets close_connection.
+        self._respond(status, headers + [(b"connection", b"close")], payload)
+
     def _run_exchange(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        split = urlsplit(self.path)
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0", "spec_version": "2.3"},
-            "http_version": "1.1",
-            "method": self.command,
-            "scheme": "http",
-            "path": split.path,
-            "raw_path": self.path.encode("latin-1"),
-            "query_string": split.query.encode("latin-1"),
-            "root_path": "",
-            "headers": [
-                (name.lower().encode("latin-1"), value.encode("latin-1"))
-                for name, value in self.headers.items()
-            ],
-            "client": self.client_address,
-            "server": self.server.server_address[:2],
-        }
-        messages = [{"type": "http.request", "body": body, "more_body": False}]
+        # Framing is checked before a body byte is read. A refusal closes
+        # the connection: the unread bytes cannot be told from the next
+        # request.
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411, "send the body with Content-Length")
+        elif not (length.isascii() and length.isdigit()):
+            self._refuse(400, f"bad Content-Length {length!r}")
+        elif int(length) > app_module.MAX_BODY_BYTES:
+            self._refuse(413, "request body too large")
+        else:
+            self._respond(*exchange(
+                self.asgi_app, self.command, self.path, self.headers.items(),
+                self.rfile.read(int(length)), self.client_address,
+                self.server.server_address[:2],
+            ))
 
-        async def receive():
-            if messages:
-                return messages.pop(0)
-            return {"type": "http.disconnect"}  # pragma: no cover
-
-        response = {"status": 500, "headers": [], "body": bytearray()}
-
-        async def send(message):
-            if message["type"] == "http.response.start":
-                response["status"] = message["status"]
-                response["headers"] = message.get("headers", [])
-            elif message["type"] == "http.response.body":
-                response["body"] += message.get("body", b"")
-
-        _loop().run_until_complete(self.asgi_app(scope, receive, send))
-
-        payload = bytes(response["body"])
-        self.send_response(response["status"])
-        saw_length = False
-        for name, value in response["headers"]:
-            name = name.decode("latin-1")
-            if name.lower() == "content-length":
-                saw_length = True
-            self.send_header(name, value.decode("latin-1"))
-        if not saw_length:
+    def _respond(self, status: int, headers: list, payload: bytes) -> None:
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name.decode("latin-1"), value.decode("latin-1"))
+        if not any(name.lower() == b"content-length" for name, _ in headers):
             self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
@@ -195,7 +222,12 @@ class ASGIServer(ThreadingHTTPServer):
 
 def make_server(app, host: str = "127.0.0.1", port: int = 8000) -> ASGIServer:
     """Bind an :class:`ASGIServer` hosting ``app`` (``port=0`` picks a
-    free port; read it back from ``server.server_address``)."""
+    free port; read it back from ``server.server_address``).
+
+    The host serves apps that await only ``receive`` and ``send``, as
+    :class:`~repro.server.app.ReproApp` does; run any other ASGI app
+    under ``uvicorn``.
+    """
     handler = type("BoundASGIRequestHandler", (ASGIRequestHandler,), {
         "asgi_app": staticmethod(app),
     })

@@ -1,19 +1,19 @@
 """An in-process ASGI test client (no sockets, no third-party packages).
 
-Drives the app callable directly with a constructed ``http`` scope and
-collects the response — the starlette ``TestClient`` shape without the
-dependency. Thread-safe by construction: every request runs the app
-coroutine to completion on its own event loop via ``asyncio.run``, so
-the threaded stress tests can hammer one app from many client threads
-exactly like the threaded HTTP bridge does in production.
+Runs each request through :func:`repro.server.http.exchange`, the same
+call the stdlib HTTP host makes after framing a request off the socket —
+the starlette ``TestClient`` shape without the dependency. Thread-safe
+by construction: an exchange shares no state with any other, so the
+threaded stress tests can hammer one app from many client threads
+exactly like the thread-per-connection host does in production.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json as jsonlib
 from typing import Optional
-from urllib.parse import urlsplit
+
+from repro.server.http import exchange
 
 
 class Response:
@@ -63,50 +63,13 @@ class TestClient:
     ) -> Response:
         if json is not None:
             body = jsonlib.dumps(json).encode("utf-8")
-        split = urlsplit(url)
-        wire_headers = [(b"host", b"testclient")]
-        for name, value in (headers or {}).items():
-            wire_headers.append((
-                name.encode("latin-1"), str(value).encode("latin-1")
-            ))
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0", "spec_version": "2.3"},
-            "http_version": "1.1",
-            "method": method,
-            "scheme": "http",
-            "path": split.path,
-            "raw_path": url.encode("latin-1"),
-            "query_string": split.query.encode("latin-1"),
-            "root_path": "",
-            "headers": wire_headers,
-            "client": ("127.0.0.1", 0),
-            "server": ("testclient", 80),
-        }
-        messages = [{
-            "type": "http.request",
-            "body": body or b"",
-            "more_body": False,
-        }]
-
-        async def receive():
-            if messages:
-                return messages.pop(0)
-            return {"type": "http.disconnect"}  # pragma: no cover
-
-        collected = {"status": 500, "headers": [], "body": bytearray()}
-
-        async def send(message):
-            if message["type"] == "http.response.start":
-                collected["status"] = message["status"]
-                collected["headers"] = message.get("headers", [])
-            elif message["type"] == "http.response.body":
-                collected["body"] += message.get("body", b"")
-
-        asyncio.run(self.app(scope, receive, send))
-        return Response(
-            collected["status"], collected["headers"], bytes(collected["body"])
-        )
+        wire_headers = [("host", "testclient")] + [
+            (name, str(value)) for name, value in (headers or {}).items()
+        ]
+        return Response(*exchange(
+            self.app, method, url, wire_headers, body or b"",
+            ("127.0.0.1", 0), ("testclient", 80),
+        ))
 
     def get(self, url: str, headers: Optional[dict] = None) -> Response:
         return self.request("GET", url, headers=headers)
