@@ -56,12 +56,6 @@ def main(argv=None) -> int:
                         help="where to write the measured numbers")
     args = parser.parse_args(argv)
 
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        print("FAIL: the flat store gate needs numpy (pip install repro[fast])")
-        return 1
-
     if args.smoke:
         # ~4·10³ facts, ~4·10⁴ answers.
         query, database = build_instance(

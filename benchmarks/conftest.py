@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``bench_figure*.py`` regenerates one paper figure/table: the driver in
-:mod:`repro.experiments.figures` computes the data, pytest-benchmark times
-the run, and the rendered text is written under ``results/``. The gated
-end-to-end numbers for the same enumerations come from the ``paper_renum``
-workload (benchmarks/layers/README.md).
+Each ``bench_figures.py`` case regenerates one paper figure/table: the
+driver in :mod:`repro.experiments.figures` computes the data,
+pytest-benchmark times the run, and the rendered text is written under
+``results/``. The gated end-to-end numbers for the same enumerations come
+from the ``paper_renum`` workload (benchmarks/layers/README.md).
 
 Scale is controlled by ``REPRO_BENCH_SF`` (default 0.002). The paper ran at
 TPC-H sf=5 in C++; the qualitative shapes are scale-invariant, the

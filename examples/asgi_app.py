@@ -24,7 +24,7 @@ every host:
     Directory of ``<relation>.csv`` files to load when no durable store
     is given (or to seed a fresh one from).
 ``REPRO_STORE``
-    Bucket backend, ``tuple`` (default) or ``flat`` (needs numpy).
+    Bucket backend, ``tuple`` (default) or ``flat``.
 
 **Multi-process caveat**: each worker recovers its *own* copy of the
 database, and ``POST /ingest`` bumps only the worker that served it —

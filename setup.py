@@ -1,13 +1,12 @@
 """Legacy setup shim (the environment's setuptools lacks bdist_wheel).
 
-The core package is dependency-free on purpose — the paper's algorithms
-run on the pure-python tuple stores everywhere. The ``fast`` extra pulls
-in numpy for the columnar flat-store backend (``store="flat"`` /
-``REPRO_STORE=flat``), which the package degrades away from gracefully
-when numpy is absent. The ``server`` extra pulls in uvicorn (and
-starlette for client-side niceties); the serving tier itself
-(``repro.server``) is a framework-free ASGI app with a stdlib HTTP
-bridge, so ``repro serve`` works without the extra too.
+numpy is a required dependency: the columnar flat-store backend
+(``store="flat"`` / ``REPRO_STORE=flat``), the vectorized shuffle and
+the TPC-H generator all import it. The default ``tuple`` backend is the
+pure-python one. The ``server`` extra pulls in uvicorn (and starlette
+for client-side niceties); the serving tier itself (``repro.server``)
+is a framework-free ASGI app with a stdlib HTTP bridge, so ``repro
+serve`` works without the extra too.
 """
 
 from setuptools import find_packages, setup
@@ -22,8 +21,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     extras_require={
-        "fast": ["numpy"],
         "server": ["uvicorn", "starlette"],
     },
 )

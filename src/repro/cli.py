@@ -100,6 +100,22 @@ def _parse_value(text: str):
     return decode_cell(text.strip())
 
 
+def _count_at_least(minimum: int):
+    """An argparse ``type`` for an int count of at least ``minimum``; a
+    smaller value is a usage error naming the argument."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _format_answer(answer: tuple) -> str:
     return ", ".join(str(v) for v in answer)
 
@@ -535,20 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("query", help="datalog rule over the CSV relations")
         sub.add_argument("database", help="directory of <relation>.csv files")
         sub.add_argument("--store", choices=("tuple", "flat"), default=None,
-                         help="bucket backend (default: REPRO_STORE or tuple); "
-                              "flat needs numpy")
+                         help="bucket backend (default: REPRO_STORE or tuple)")
         if name == "access":
             sub.add_argument("positions", nargs="+", type=int,
                              help="0-based answer positions")
         if name == "shuffle":
             sub.add_argument("--seed", type=int, default=None)
-            sub.add_argument("--limit", type=int, default=None,
+            sub.add_argument("--limit", type=_count_at_least(0), default=None,
                              help="stop after this many answers")
         if name == "page":
             sub.add_argument("number", type=int, help="0-based page number")
-            sub.add_argument("--page-size", type=int, default=10)
+            sub.add_argument("--page-size", type=_count_at_least(1), default=10)
         if name == "sample":
-            sub.add_argument("k", type=int, help="number of draws")
+            sub.add_argument("k", type=_count_at_least(0),
+                             help="number of draws")
             sub.add_argument("--seed", type=int, default=None)
         if name in ("page", "sample", "stats"):
             sub.add_argument("--insert", action="append", metavar="REL:v1,v2",
@@ -616,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=8000)
     serve_cmd.add_argument(
         "--store", choices=("tuple", "flat"), default=None,
-        help="bucket backend (default: REPRO_STORE or tuple); flat needs numpy",
+        help="bucket backend (default: REPRO_STORE or tuple)",
     )
     serve_cmd.add_argument(
         "--storage", metavar="DIR", default=None,

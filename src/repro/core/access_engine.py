@@ -46,16 +46,13 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as _np
+
 from repro.core import flat_store as _flat_store
 from repro.core.errors import OutOfBoundError
 # Defined beside its treap; importable here too, where serve-state
 # checkpoints pickled before the move look it up.
 from repro.core.order_tree import SnapshotBucketStore  # noqa: F401
-
-try:  # numpy ships with this environment (scipy depends on it); the sort
-    import numpy as _np  # of a large batch is ~10× faster through argsort.
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 
 @runtime_checkable
@@ -132,13 +129,13 @@ def vector_batch(
     proceeds with :func:`batch_walk` — dispatch is transparent. Small
     batches also fall back: numpy's fixed per-call overhead beats the
     vector win under :data:`repro.core.flat_store.VECTOR_MIN` positions.
-    Bounds are the caller's responsibility, as in :func:`batch_walk`.
+    This is the one place that decides the columnar path. Bounds are the
+    caller's responsibility, as in :func:`batch_walk`.
     """
     if (
-        _np is None
-        or not roots
+        not roots
         or len(indices) < _flat_store.VECTOR_MIN
-        or getattr(roots[0], "flat", None) is None
+        or any(getattr(root, "flat", None) is None for root in roots)
     ):
         return None
     return _flat_store.flat_batch(roots, indices, project)
@@ -206,11 +203,11 @@ def _subtree_scalar(node, key: tuple, index: int, assignment: Dict[str, object])
 def sorted_items(indices: Sequence[int]) -> List[Tuple[int, int]]:
     """``(position, slot)`` pairs sorted by position (ties by slot).
 
-    Duplicate positions stay adjacent and simply resolve twice. Uses a
-    numpy argsort when available — for batches of 10⁵ positions the sort
-    is otherwise a third of the total batch cost.
+    Duplicate positions stay adjacent and simply resolve twice. Large
+    batches sort through a numpy argsort — for batches of 10⁵ positions
+    the sort is otherwise a third of the total batch cost.
     """
-    if _np is not None and len(indices) >= 2048:
+    if len(indices) >= 2048:
         try:
             array = _np.fromiter(indices, dtype=_np.int64, count=len(indices))
         except OverflowError:
@@ -671,7 +668,7 @@ class EngineServingMixin:
             # the whole range in the interpreter.
             low, high = ((indices[0], indices[-1]) if indices.step > 0
                          else (indices[-1], indices[0]))
-        elif _np is not None and isinstance(indices, _np.ndarray):
+        elif isinstance(indices, _np.ndarray):
             low, high = int(indices.min()), int(indices.max())
         else:
             low, high = min(indices), max(indices)
@@ -683,7 +680,7 @@ class EngineServingMixin:
         vectorized = vector_batch(self.roots, indices, head)
         if vectorized is not None:
             return vectorized
-        if _np is not None and isinstance(indices, _np.ndarray):
+        if isinstance(indices, _np.ndarray):
             # The walk compares and hashes positions tuple by tuple; unbox
             # once so it never touches numpy integers.
             indices = indices.tolist()

@@ -27,9 +27,9 @@ Backend selection
 -----------------
 ``resolve_store`` maps a ``store=`` argument (or the ``REPRO_STORE``
 environment variable when the argument is ``None``) to one of
-:data:`VALID_STORES`. Requesting ``"flat"`` without numpy raises an
-``ImportError`` pointing at the packaging extra (``pip install
-repro[fast]``).
+:data:`VALID_STORES`. numpy is a required dependency, so both backends
+are always available; ``"tuple"`` stays the default because its scalar
+reads are faster.
 
 Value interning
 ---------------
@@ -65,13 +65,10 @@ from bisect import bisect_left
 from itertools import repeat as _repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.database.relation import row_sort_key
 from repro.core.order_tree import _PRIORITIES, _descending_priorities
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 #: The recognized ``store=`` backend names.
 VALID_STORES = ("tuple", "flat")
@@ -98,21 +95,11 @@ _NIL = -1
 TABLE_MATERIALIZATIONS = 0
 
 
-def _require_numpy():
-    if _np is None:
-        raise ImportError(
-            "the 'flat' store backend requires numpy, which is packaged as "
-            "an optional extra — install it with: pip install repro[fast]"
-        )
-    return _np
-
-
 def resolve_store(store: Optional[str]) -> str:
     """Normalize a ``store=`` argument to a validated backend name.
 
     ``None`` consults the :data:`STORE_ENV` environment variable, then
-    defaults to ``"tuple"``. ``"flat"`` verifies numpy is importable and
-    raises an ``ImportError`` naming the ``repro[fast]`` extra otherwise.
+    defaults to ``"tuple"``.
     """
     if store is None:
         store = os.environ.get(STORE_ENV) or "tuple"
@@ -120,8 +107,6 @@ def resolve_store(store: Optional[str]) -> str:
         raise ValueError(
             f"unknown store backend {store!r}; expected one of {VALID_STORES}"
         )
-    if store == "flat":
-        _require_numpy()
     return store
 
 
@@ -450,7 +435,6 @@ def columnarize_forest(roots: Sequence) -> None:
     :class:`FlatOverflowError` *before touching anything* when any
     cumulative weight would not fit int64.
     """
-    _require_numpy()
     if not validate_forest_fits(roots):
         raise FlatOverflowError("forest weights exceed the int64 flat limit")
     for root in roots:
@@ -550,8 +534,8 @@ def _detached(array):
 
 def flat_batch(
     roots: Sequence, indices: Sequence[int], project: Optional[Sequence[str]]
-) -> Optional[List[object]]:
-    """Resolve a whole batch through the columnar arrays, or ``None``.
+) -> List[object]:
+    """Resolve a whole batch through the columnar arrays.
 
     The array analog of the engine's ``batch_walk``: per level, one
     ``searchsorted`` locates the containing row for every pending offset
@@ -559,16 +543,11 @@ def flat_batch(
     mixed-radix SplitIndex digits come from elementwise ``divmod`` against
     the precomputed per-row suffix arrays. Results align with the request
     (which may be unsorted and contain duplicates — ``searchsorted`` needs
-    no sorted queries). Bounds are the caller's responsibility.
-
-    Returns ``None`` when any root lacks columnar arrays (overflow
-    fallback, or a store that only speaks the scalar protocol).
+    no sorted queries). Bounds are the caller's responsibility, and so is
+    the choice of this path: every root must carry columnar arrays (see
+    :func:`repro.core.access_engine.vector_batch`).
     """
-    if _np is None or not roots:
-        return None
-    flats = [getattr(root, "flat", None) for root in roots]
-    if any(flat is None for flat in flats):
-        return None
+    flats = [root.flat for root in roots]
     out: Dict[str, object] = {}
     if isinstance(indices, _np.ndarray):
         remaining = indices.astype(_np.int64, copy=False)
@@ -793,7 +772,6 @@ class FlatOrderTree:
                  "root", "size", "epoch")
 
     def __init__(self, capacity: int = 16):
-        _require_numpy()
         self.rows: List[tuple] = []
         self.keys: List[tuple] = []
         self.multiplicity: List[int] = []

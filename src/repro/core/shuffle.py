@@ -17,10 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Optional
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as _np
 
 
 class LazyShuffle:
@@ -130,12 +127,7 @@ def sample_positions(n: int, k: int, rng: Optional[random.Random] = None):
     vectorized one — the batch entry points accept either, and the flat
     backend consumes the array with no per-position boxing at all.
     """
-    if (
-        _np is None
-        or k < _VECTOR_MIN_DRAWS
-        or n < 2
-        or n.bit_length() > 32
-    ):
+    if k < _VECTOR_MIN_DRAWS or n < 2 or n.bit_length() > 32:
         return LazyShuffle(n, rng).take(k)
     if rng is None:
         rng = random.Random()

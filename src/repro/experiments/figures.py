@@ -2,9 +2,10 @@
 
 Every driver takes an :class:`ExperimentConfig` (scale factor, seed,
 requested percentages) and returns a :class:`FigureResult` whose
-``render()`` produces the plain-text counterpart of the paper's plot. The
-``benchmarks/bench_*.py`` files call these drivers, write the rendered text
-under ``results/``, and let pytest-benchmark time the interesting phase.
+``render()`` produces the plain-text counterpart of the paper's plot.
+``benchmarks/bench_figures.py`` calls these drivers, writes the rendered
+text under ``results/``, and lets pytest-benchmark time the interesting
+phase.
 
 The scale factor defaults to the ``REPRO_BENCH_SF`` environment variable
 (falling back to 0.002 ≈ 12k lineitems): pure-Python enumeration is a few

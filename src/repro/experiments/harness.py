@@ -33,33 +33,6 @@ from repro.database.database import Database
 from repro.query.cq import ConjunctiveQuery
 from repro.query.ucq import UnionOfConjunctiveQueries
 from repro.sampling.base import JoinSampler
-from repro.service.cursor import Cursor
-from repro.service.query_service import QueryService
-
-
-def _index_for(query, database: Database, service: Optional[QueryService]):
-    """Build an index, or open a service cursor over its cache.
-
-    With a service, the run reads through a
-    :class:`~repro.service.cursor.Cursor` — the query resolves once, the
-    (cached) index builds at most once, and repeated runs over the same
-    (query, database) skip preprocessing entirely: the "build once, serve
-    many" accounting, with the measured preprocessing time being the
-    cursor's first probe. A cursor duck-types the index contract, so every
-    enumerator below runs on either unchanged. Without a service, the
-    per-run build is timed, which is the paper's Section 6 accounting.
-    """
-    if service is not None:
-        if service.database is not database:
-            raise ValueError(
-                "the service is bound to a different database than the one "
-                "passed to the run — results would silently describe the "
-                "service's database"
-            )
-        return service.cursor(query)
-    if isinstance(query, UnionOfConjunctiveQueries):
-        return MCUCQIndex(query, database)
-    return CQIndex(query, database)
 
 
 @dataclass
@@ -109,15 +82,12 @@ def run_renum_cq(
     fraction: float = 1.0,
     rng: Optional[random.Random] = None,
     record_delays: bool = False,
-    service: Optional[QueryService] = None,
 ) -> EnumerationRun:
     """REnum(CQ): build the index, then emit ``fraction`` of the answers in
-    uniformly random order. With ``service``, the index comes from the
-    service's cache and preprocessing time measures the (re)use, not a
-    rebuild."""
+    uniformly random order."""
     rng = rng if rng is not None else random.Random()
     started = time.perf_counter()
-    index = _index_for(query, database, service)
+    index = CQIndex(query, database)
     preprocessing = time.perf_counter() - started
     k = max(1, int(index.count * fraction)) if index.count else 0
     enumerator = RandomPermutationEnumerator(index, rng=rng)
@@ -203,20 +173,17 @@ def run_union_renum(
     rng: Optional[random.Random] = None,
     record_delays: bool = False,
     decile_snapshots: bool = False,
-    service: Optional[QueryService] = None,
 ) -> EnumerationRun:
     """REnum(UCQ) — Algorithm 5 over per-member CQ indexes.
 
     Preprocessing covers the member indexes *and* their inverted-access
     support (needed by Test/Delete). With ``decile_snapshots`` the run
     records cumulative answer/rejection time after each decile — the
-    Figure 5 measurement. With ``service``, member indexes come from the
-    service's cache (deletion happens in per-run DeletableAnswerSet wrappers,
-    so cached indexes stay intact).
+    Figure 5 measurement.
     """
     rng = rng if rng is not None else random.Random()
     started = time.perf_counter()
-    indexes = [_index_for(q, database, service) for q in ucq.queries]
+    indexes = [CQIndex(q, database) for q in ucq.queries]
     for index in indexes:
         index.ensure_inverted_support()
     enumerator = UnionRandomEnumerator.for_indexes(indexes, rng=rng)
@@ -274,19 +241,15 @@ def run_mcucq(
     fraction: float = 1.0,
     rng: Optional[random.Random] = None,
     record_delays: bool = False,
-    service: Optional[QueryService] = None,
 ) -> EnumerationRun:
     """REnum(mcUCQ) — Fisher–Yates over Theorem 5.5's union random access."""
     rng = rng if rng is not None else random.Random()
     started = time.perf_counter()
-    index = _index_for(ucq, database, service)
-    # The 2^m family needs inverted support; with a service the cursor's
-    # backing MCUCQIndex is reached through .index (introspection only —
-    # the timed serving below stays on the cursor surface).
-    backing = index.index if isinstance(index, Cursor) else index
-    for member in backing.member_indexes:
+    index = MCUCQIndex(ucq, database)
+    # The 2^m family needs inverted support.
+    for member in index.member_indexes:
         member.ensure_inverted_support()
-    for t_index in backing.intersection_indexes.values():
+    for t_index in index.intersection_indexes.values():
         t_index.ensure_inverted_support()
     preprocessing = time.perf_counter() - started
     k = max(1, int(index.count * fraction)) if index.count else 0
@@ -307,7 +270,6 @@ def run_cumulative_renum_cq(
     database: Database,
     fraction: float = 1.0,
     rng: Optional[random.Random] = None,
-    service: Optional[QueryService] = None,
 ) -> EnumerationRun:
     """The paper's overhead baseline: run REnum(CQ) on each member CQ
     independently and add up the times.
@@ -322,7 +284,7 @@ def run_cumulative_renum_cq(
     answers = 0
     requested = 0
     for query in ucq.queries:
-        run = run_renum_cq(query, database, fraction=fraction, rng=rng, service=service)
+        run = run_renum_cq(query, database, fraction=fraction, rng=rng)
         preprocessing += run.preprocessing_seconds
         enumeration += run.enumeration_seconds
         answers += run.answers

@@ -6,7 +6,8 @@ join result). Each answer is produced with the constant probability
 ``∏ 1/|R_u|``, so accepted samples are uniform — but the acceptance rate is
 ``|Q(D)| / ∏|R_u|``, astronomically small for real joins. Appendix B.2.3
 reports that RS cannot produce even 1% of Q3's answers within an hour; the
-``bench_rs_note`` benchmark reproduces that observation at our scale.
+``rs_note`` case of ``benchmarks/bench_figures.py`` reproduces that
+observation at our scale.
 """
 
 from __future__ import annotations

@@ -769,7 +769,8 @@ def create_app(
         What to serve — one of:
 
         * a :class:`~repro.service.QueryService` (used as-is; ``storage``
-          / ``store`` / ``dynamic`` must not also be given),
+          / ``store`` / ``dynamic`` / ``promote_after`` must not also be
+          given),
         * a :class:`~repro.database.Database` (wrapped in a fresh
           service, optionally bound to ``storage``),
         * a path to a durable store directory (``str`` /
@@ -800,10 +801,12 @@ def create_app(
     if promote_after is not None:
         service_kwargs["promote_after"] = promote_after
     if isinstance(source, QueryService):
-        if storage is not None or store is not None or dynamic is not None:
+        if (storage is not None or store is not None or dynamic is not None
+                or promote_after is not None):
             raise ValueError(
                 "create_app(service) uses the service as configured; "
-                "storage/store/dynamic apply only when building one"
+                "storage/store/dynamic/promote_after apply only when "
+                "building one"
             )
         service = source
     elif isinstance(source, Database):

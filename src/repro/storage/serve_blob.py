@@ -37,13 +37,10 @@ import pathlib
 import pickle
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro import faults
 from repro.storage.values import ValueEncodingError, decode_cell, encode_cell
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 #: Directory (inside a checkpoint) holding one subdirectory per blob entry.
 BLOB_DIR = "serve-flat"
@@ -63,7 +60,7 @@ def can_blob(entry) -> bool:
     """
     from repro.core.cq_index import CQIndex
 
-    if _np is None or type(entry) is not CQIndex:
+    if type(entry) is not CQIndex:
         return False
     if entry.store != "flat":
         return False

@@ -14,12 +14,10 @@ from repro.tpch import TPCHConfig, attach_derived_relations, generate
 @pytest.fixture(params=["tuple", "flat"], scope="session")
 def store(request) -> str:
     """Bucket backend under test — every contract test parameterized by
-    this fixture runs once per backend (``flat`` skips without numpy).
+    this fixture runs once per backend.
 
     Session-scoped: the value is a constant string, which keeps
     hypothesis' function-scoped-fixture health check satisfied."""
-    if request.param == "flat":
-        pytest.importorskip("numpy")
     return request.param
 
 

@@ -13,9 +13,7 @@ import pathlib
 import shutil
 import tempfile
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 

@@ -4,11 +4,10 @@ stay interchangeable through them."""
 
 import random
 
-import pytest
-
 from repro import CQIndex, Database, DynamicCQIndex, Relation, parse_cq
-from repro.core import access_engine
+from repro.core import access_engine, flat_store
 from repro.core.dynamic import _DynamicBucket
+from repro.core.flat_store import FlatOrderTree
 from repro.core.index import _Bucket
 from repro.core.order_tree import OrderedWeightTree, SnapshotBucketStore
 
@@ -27,19 +26,11 @@ def _db():
     ])
 
 
-def _has_numpy():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def _static_stores(rule, relations, **kwargs):
-    """The root ``()`` bucket of a static index over each backend (the
-    columnar one when numpy is available), rank tables built."""
+    """The root ``()`` bucket of a static index over each backend, rank
+    tables built."""
     stores = []
-    for store in ("tuple", "flat") if _has_numpy() else ("tuple",):
+    for store in ("tuple", "flat"):
         index = CQIndex(parse_cq(rule), Database(relations), store=store, **kwargs)
         index.ensure_inverted_support()
         stores.append(index.roots[0].buckets[()])
@@ -48,13 +39,11 @@ def _static_stores(rule, relations, **kwargs):
 
 def _frozen_stores(entries):
     """Both treaps' frozen views over ``entries``: the read side of the
-    dynamic bucket (the slab treap when numpy is available)."""
-    tree_classes = [OrderedWeightTree]
-    if _has_numpy():
-        from repro.core.flat_store import FlatOrderTree
-
-        tree_classes.append(FlatOrderTree)
-    return [_DynamicBucket(tree, entries).freeze() for tree in tree_classes]
+    dynamic bucket."""
+    return [
+        _DynamicBucket(tree, entries).freeze()
+        for tree in (OrderedWeightTree, FlatOrderTree)
+    ]
 
 
 class TestBucketStoreProtocol:
@@ -63,7 +52,7 @@ class TestBucketStoreProtocol:
         buckets = _static_stores(
             "Q(a) :- R(a)", [Relation("R", ("a",), [(1,), (2,)])]
         ) + _frozen_stores(entries)
-        assert len(buckets) == (4 if _has_numpy() else 2)
+        assert len(buckets) == 4
         for bucket in buckets:
             assert isinstance(bucket, access_engine.BucketStore)
             assert bucket.total == 2
@@ -86,10 +75,8 @@ class TestBucketStoreProtocol:
         assert _Bucket.unit_leaf is True
         assert SnapshotBucketStore.unit_leaf is False
         assert not hasattr(_DynamicBucket, "unit_leaf")
-        flat = pytest.importorskip("repro.core.flat_store")
-        pytest.importorskip("numpy")
-        assert flat.FlatBucketStore.unit_leaf is True
-        assert flat.FlatSnapshotStore.unit_leaf is False
+        assert flat_store.FlatBucketStore.unit_leaf is True
+        assert flat_store.FlatSnapshotStore.unit_leaf is False
 
     def test_zero_weight_rows_do_not_rank(self):
         # Without the reducer the dangling root row (1,) stays, weight 0.
@@ -177,9 +164,6 @@ class TestEngineEquivalence:
     def test_vectorized_batch_matches_scalar_walk(self):
         """Above VECTOR_MIN the static flat index takes the columnar walk;
         it must agree with the scalar engine position for position."""
-        pytest.importorskip("numpy")
-        from repro.core import flat_store
-
         db = _db()
         flat = CQIndex(QUERY, db, store="flat")
         tuple_index = CQIndex(QUERY, db, store="tuple")

@@ -75,6 +75,19 @@ class TestCommands:
               "--seed", "1", "--limit", "2"])
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["page", "0", "--page-size", "0"], "--page-size"),
+        (["sample", "--", "-3"], "k"),
+        (["shuffle", "--limit", "-1"], "--limit"),
+    ])
+    def test_bad_counts_are_usage_errors(self, csv_db, capsys, argv, name):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exited:
+            main([command, "Q(a, b, c) :- R(a, b), S(b, c)", str(csv_db), *rest])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {name}: must be at least" in err
+
     def test_tpch_sizes(self, capsys):
         main(["tpch", "--scale-factor", "0.001", "--seed", "2"])
         out = capsys.readouterr().out

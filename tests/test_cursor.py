@@ -3,6 +3,7 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -158,7 +159,6 @@ class TestCursorReads:
         from repro.core import access_engine
         from repro.core.errors import OutOfBoundError
 
-        np = pytest.importorskip("numpy")
         built = READ_VIEWS[kind]()
         views = [built]
         if isinstance(built, Cursor):

@@ -319,7 +319,6 @@ def test_checkpoint_transient_failure_is_retried(tmp_path):
 
 
 def test_blob_load_failure_degrades_to_lazy_rebuild(tmp_path):
-    pytest.importorskip("numpy")
     service = make_service(tmp_path, store="flat")
     assert service.cursor(Q).count == 2
     service.checkpoint()  # persists the flat entry as a serve blob

@@ -12,8 +12,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core import flat_store
 from repro.core.dynamic import _DynamicBucket
 from repro.core.flat_store import (

@@ -1,6 +1,6 @@
 """The README names only what ``src/`` still has.
 
-Four checks over ``README.md``:
+Five checks over ``README.md``:
 
 * every ``service.<name>`` / ``cursor.<name>`` it writes (prose and code
   blocks alike) is an attribute of ``QueryService`` / ``Cursor``;
@@ -11,7 +11,9 @@ Four checks over ``README.md``:
   is importable under ``repro`` (``faults.arm``,
   ``repro.core.dynamic.DynamicCQIndex``) resolves the same way;
 * every back-ticked ``*.py`` path exists (relative to the repository, to
-  ``src/`` or to ``src/repro/``).
+  ``src/`` or to ``src/repro/``);
+* every ``python -m repro …`` line of a fenced block parses with the
+  CLI's own parser, so a renamed or dropped flag fails here.
 """
 
 import ast
@@ -19,10 +21,12 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 import textwrap
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.cq_index import CQIndex
 from repro.service.cursor import Cursor
 from repro.service.query_service import QueryService
@@ -155,3 +159,28 @@ def test_backticked_python_paths_exist():
         if not any((base / path).exists() for base in (ROOT, SRC, SRC / "repro"))
     ]
     assert not missing
+
+
+def _readme_cli_lines() -> list:
+    """The argument lists of README's ``python -m repro`` lines: fenced
+    blocks only, ``\\`` continuations joined, ``#`` comments dropped."""
+    lines = []
+    for block in re.findall(r"```[^\n]*\n(.*?)```", README, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            __, found, arguments = line.partition("python -m repro ")
+            if found:
+                lines.append(shlex.split(arguments, comments=True))
+    return lines
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 18
+    parser = build_parser()
+    rejected = []
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(" ".join(argv))
+    assert not rejected

@@ -240,8 +240,6 @@ class TestTornBlobCheckpoints:
         S *after* the blob checkpoint, so the served count below is
         insensitive to which checkpoint recovery starts from.
         """
-        import numpy  # noqa: F401  (the flat backend needs it)
-
         db = Database([
             Relation("R", ("a", "b"), [(1, 10), (2, 20)]),
             Relation("S", ("b", "c"), [(10, "x"), (10, "y")]),

@@ -12,9 +12,7 @@ manifest/CLI size-and-skip reporting.
 import argparse
 import pickle
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro import Database, Delta, QueryService, Relation, parse_cq
 from repro.cli import _print_serve_report, command_checkpoint, command_recover

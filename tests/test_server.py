@@ -392,6 +392,11 @@ class TestAppFactory:
         with pytest.raises(ValueError):
             create_app("/nonexistent/store-dir")
 
+    def test_create_app_rejects_promote_after_for_a_built_service(self):
+        service = QueryService(fresh_db())
+        with pytest.raises(ValueError, match="promote_after"):
+            create_app(service, promote_after=5)
+
     def test_oversized_body_413(self):
         import repro.server.app as app_module
         c = client()
