@@ -22,6 +22,12 @@ model — reads are wait-free snapshot probes, so N concurrent connections
 page N pinned snapshots without ever blocking on the writer. HTTP/1.1
 keep-alive is supported (responses always carry ``Content-Length``), so
 a session's reads ride one connection.
+
+Each response leaves in one write on a ``TCP_NODELAY`` socket: written
+as head then body, the body would wait for the client's delayed ACK
+(≈40 ms) under Nagle's algorithm. The stdlib's own refusals (``501``
+for an unknown method, ``414``, ``431``, a malformed request line) are
+answered as JSON too.
 """
 
 from __future__ import annotations
@@ -102,6 +108,8 @@ class ASGIRequestHandler(BaseHTTPRequestHandler):
     """Frame one HTTP request and serve it through :func:`exchange`."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response is one write, so nothing is left to coalesce.
+    disable_nagle_algorithm = True
     #: Set by :func:`make_server`.
     asgi_app = None
     #: Quieten the default stderr access log (set True to restore it).
@@ -148,14 +156,25 @@ class ASGIRequestHandler(BaseHTTPRequestHandler):
                 self.server.server_address[:2],
             ))
 
+    def send_error(self, code, message=None, explain=None):
+        """Answer the stdlib's own refusals as JSON, like the app's."""
+        self._refuse(code, message or self.responses[code][0])
+
     def _respond(self, status: int, headers: list, payload: bytes) -> None:
         self.send_response(status)
         for name, value in headers:
             self.send_header(name.decode("latin-1"), value.decode("latin-1"))
         if not any(name.lower() == b"content-length" for name, _ in headers):
             self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.command == "HEAD":
+            payload = b""
+        # end_headers() would write the head on its own; send it with the
+        # body instead. An HTTP/0.9 request has no head.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head + payload)
 
     do_GET = do_POST = do_DELETE = do_PUT = do_PATCH = _handle
 

@@ -1,17 +1,21 @@
 """The two ways into ``ReproApp``: the stdlib host and an external one.
 
 The stdlib host (:mod:`repro.server.http`) frames each request off a raw
-socket and steps the app coroutine once, with no event loop; the framing
-and suspension tests below talk to it over real sockets. An external
-ASGI host (``uvicorn``) runs the app on an event loop, streams the body
-in ``more_body`` chunks and sends lifespan events; ``asyncio.run`` with a
-``receive`` that really suspends stands in for it.
+socket, steps the app coroutine once, with no event loop, and sends the
+response in one write; the framing, write and suspension tests below
+talk to it over real sockets. An external ASGI host (``uvicorn``) runs
+the app on an event loop, streams the body in ``more_body`` chunks and
+sends lifespan events; ``asyncio.run`` with a ``receive`` that really
+suspends stands in for it.
 """
 
 import asyncio
 import http.client
 import json
 import socket
+import statistics
+import sys
+import time
 
 import pytest
 
@@ -26,15 +30,49 @@ def fresh_app():
     return create_app(Database([Relation("R", ("a", "b"), [(1, 10)])]))
 
 
+class RecordingWriter:
+    """Pass each write through to the handler's socket writer, and
+    record it."""
+
+    def __init__(self, inner, writes: list):
+        self.inner, self.writes = inner, writes
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 @pytest.fixture
-def port():
+def host():
+    """Serve ``fresh_app()``; yields ``(port, writes)``, ``writes`` being
+    every write the handlers make. Teardown fails if a handler raised."""
     server, thread, port = start_background(fresh_app())
+    writes, errors = [], []
+
+    class Recording(server.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            self.wfile = RecordingWriter(self.wfile, writes)
+
+    server.RequestHandlerClass = Recording
+    server.handle_error = lambda request, address: errors.append(
+        sys.exc_info()[1]
+    )
     try:
-        yield port
+        yield port, writes
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    assert errors == []
+
+
+@pytest.fixture
+def port(host):
+    return host[0]
 
 
 def raw_request(port: int, request: bytes) -> bytes:
@@ -106,6 +144,111 @@ class TestRequestFraming:
             assert json.loads(conn.getresponse().read())["version"] == 1
         finally:
             conn.close()
+
+
+def get(path: str) -> bytes:
+    return (
+        f"GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    ).encode("latin-1")
+
+
+class TestStdlibRefusals:
+    """Requests the stdlib refuses before the app sees them are answered
+    like the app's errors: JSON, ``Connection: close``."""
+
+    def test_unsupported_method_is_501(self, port):
+        received = raw_request(
+            port, b"OPTIONS /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        error = assert_one_closing_response(received, 501)["error"]
+        assert "OPTIONS" in error
+
+    def test_head_gets_the_head_alone(self, port):
+        received = raw_request(
+            port, b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = [line.lower() for line in head.decode("latin-1").split("\r\n")]
+        assert lines[0].startswith("http/1.1 501 ")
+        assert "content-type: application/json" in lines
+        assert "connection: close" in lines
+        assert body == b""
+
+    def test_a_line_framed_as_http_0_9_gets_a_bare_json_error(self, port):
+        # One word: the stdlib cannot read a version, so it answers as to
+        # HTTP/0.9, with no status line.
+        received = raw_request(port, b"GARBAGE\r\n\r\n")
+        assert not received.startswith(b"HTTP/")
+        assert "GARBAGE" in json.loads(received)["error"]
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave in one write on a
+    ``TCP_NODELAY`` socket. Written as head then body, the body waited
+    under Nagle for the client's delayed ACK: ≈44 ms a request."""
+
+    def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(self, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        query = json.dumps({"query": QUERY}).encode("utf-8")
+
+        def median_ms(method: str, path: str, body=None) -> float:
+            elapsed = []
+            for _ in range(21):
+                started = time.perf_counter()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+            return 1000 * statistics.median(elapsed)
+
+        try:
+            assert median_ms("GET", "/healthz") < 20
+            assert median_ms("POST", "/queries", query) < 20
+        finally:
+            conn.close()
+
+    @staticmethod
+    def one_write(host, request: bytes) -> bytes:
+        """Send ``request``; the response it gets must be one write."""
+        port, writes = host
+        writes.clear()
+        received = raw_request(port, request)
+        assert writes == [received]
+        return received
+
+    def test_a_page(self, host):
+        body = json.dumps({"query": QUERY}).encode("utf-8")
+        opened = self.one_write(host, (
+            "POST /cursors HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body)
+        cursor = json.loads(opened.partition(b"\r\n\r\n")[2])["cursor"]
+        received = self.one_write(host, get(f"/cursors/{cursor}/page?size=5"))
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(received.partition(b"\r\n\r\n")[2])["answers"] == [
+            [1, 10]
+        ]
+
+    def test_a_404(self, host):
+        received = self.one_write(host, get("/nowhere"))
+        assert received.startswith(b"HTTP/1.1 404 ")
+
+    def test_a_413_refusal(self, host):
+        received = self.one_write(
+            host, post_ingest("Content-Length: 99999999999\r\n")
+        )
+        assert_one_closing_response(received, 413)
+
+    def test_a_501_refusal(self, host):
+        received = self.one_write(
+            host, b"OPTIONS /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        assert_one_closing_response(received, 501)
+
+    def test_http_0_9_gets_the_bare_body(self, host):
+        received = self.one_write(host, b"GET /healthz\r\n\r\n")
+        assert json.loads(received)["status"] == "ok"
 
 
 async def _suspending_app(scope, receive, send):
