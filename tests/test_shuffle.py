@@ -5,9 +5,14 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from repro.core.shuffle import LazyShuffle, random_permutation_indices
+from repro.core.shuffle import (
+    LazyShuffle,
+    random_permutation_indices,
+    sample_positions,
+)
 
 
 class TestBasics:
@@ -45,6 +50,30 @@ class TestBasics:
         for __ in range(100):
             next(shuffle)
         assert len(shuffle._cells) <= 200
+
+
+class TestSamplePositions:
+    """``sample_positions`` is ``LazyShuffle(n, rng).take(k)``, draw for
+    draw and word for word, on the vectorized path as on the scalar one."""
+
+    @pytest.mark.parametrize("n, k, vectorized", [
+        (2 ** 20 + 500, 3_000, True),     # draw widths cross 2**20
+        (1_500, 1_200, True),             # most j < m: swap collisions
+        (1_500, 1_500, True),             # the whole permutation
+        (1_200, 2_000, True),             # k > n
+        (2 ** 32 - 1, 2_000, True),       # widest 32-bit draws
+        (2 ** 32 + 5, 1_500, False),      # > 32 bits: the scalar loop
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_scalar_take(self, n, k, vectorized, seed):
+        drawn, taken = random.Random(seed), random.Random(seed)
+        positions = sample_positions(n, k, drawn)
+        expected = LazyShuffle(n, taken).take(k)
+        assert isinstance(positions, np.ndarray) == vectorized
+        assert len(positions) == min(n, k)
+        assert [int(p) for p in positions] == expected
+        assert drawn.getstate() == taken.getstate()
+        assert drawn.random() == taken.random()
 
 
 class TestUniformity:
