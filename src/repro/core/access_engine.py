@@ -33,6 +33,7 @@ path (see ``batch_walk``).
 
 from __future__ import annotations
 
+import json
 import random
 from typing import (
     Callable,
@@ -129,16 +130,21 @@ def vector_batch(
     proceeds with :func:`batch_walk` — dispatch is transparent. Small
     batches also fall back: numpy's fixed per-call overhead beats the
     vector win under :data:`repro.core.flat_store.VECTOR_MIN` positions.
-    This is the one place that decides the columnar path. Bounds are the
-    caller's responsibility, as in :func:`batch_walk`.
+    :func:`vectorizable` is the one place that decides the columnar path.
+    Bounds are the caller's responsibility, as in :func:`batch_walk`.
     """
-    if (
-        not roots
-        or len(indices) < _flat_store.VECTOR_MIN
-        or any(getattr(root, "flat", None) is None for root in roots)
-    ):
+    if not vectorizable(roots, indices):
         return None
     return _flat_store.flat_batch(roots, indices, project)
+
+
+def vectorizable(roots: Sequence, indices: Sequence[int]) -> bool:
+    """Does a batch of ``indices`` over ``roots`` take the columnar walk?"""
+    return (
+        bool(roots)
+        and len(indices) >= _flat_store.VECTOR_MIN
+        and all(getattr(root, "flat", None) is not None for root in roots)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -662,6 +668,38 @@ class EngineServingMixin:
         """
         if not len(indices):
             return []
+        self._check_bounds(indices)
+        head = self.head_variables
+        vectorized = vector_batch(self.roots, indices, head)
+        if vectorized is not None:
+            return vectorized
+        if isinstance(indices, _np.ndarray):
+            # The walk compares and hashes positions tuple by tuple; unbox
+            # once so it never touches numpy integers.
+            indices = indices.tolist()
+        out: List[tuple] = [()] * len(indices)
+        acc: Dict[str, object] = {}
+        finish = make_batch_finish(out, acc, head)
+        batch_walk(self.roots, sorted_items(indices), acc, finish)
+        return out
+
+    def batch_json(self, indices: Sequence[int]) -> str:
+        """``json.dumps(self.batch(indices))``, byte for byte.
+
+        A batch on the columnar path (:func:`vectorizable`) is written by
+        :func:`~repro.core.flat_store.flat_batch_json` straight from the
+        flat nodes' id columns and pre-encoded value tables; any other
+        dumps the tuples. Bounds as in :meth:`batch`.
+        """
+        head = self.head_variables
+        if not head or not vectorizable(self.roots, indices):
+            return json.dumps(self.batch(indices))
+        self._check_bounds(indices)
+        return _flat_store.flat_batch_json(self.roots, indices, head)
+
+    def _check_bounds(self, indices: Sequence[int]) -> None:
+        """Raise :class:`~repro.core.errors.OutOfBoundError` for the first
+        position of the non-empty ``indices`` outside ``[0, count)``."""
         count = self.count
         if isinstance(indices, range):
             # O(1) bounds for pagination sweeps: builtins.min would walk
@@ -676,19 +714,6 @@ class EngineServingMixin:
             for index in indices:
                 if index < 0 or index >= count:
                     raise OutOfBoundError(index, count)
-        head = self.head_variables
-        vectorized = vector_batch(self.roots, indices, head)
-        if vectorized is not None:
-            return vectorized
-        if isinstance(indices, _np.ndarray):
-            # The walk compares and hashes positions tuple by tuple; unbox
-            # once so it never touches numpy integers.
-            indices = indices.tolist()
-        out: List[tuple] = [()] * len(indices)
-        acc: Dict[str, object] = {}
-        finish = make_batch_finish(out, acc, head)
-        batch_walk(self.roots, sorted_items(indices), acc, finish)
-        return out
 
     def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
         """The first ``min(k, count)`` draws of :meth:`random_order`.

@@ -38,6 +38,18 @@ keyed by ``(type, value)`` — so ``1``, ``1.0`` and ``True`` (equal, and
 hash-equal, as dict keys) keep distinct ids and round-trip exactly, like
 they do through the tuple stores.
 
+Encoded tables
+--------------
+:func:`flat_batch_json` answers a batch as the JSON text
+``json.dumps`` would write for its tuples, for the HTTP tier. Each
+:class:`FlatNode` keeps, beside each value table, an *encoded* table:
+``json.dumps(value)`` once per distinct value (``true``, not ``1``;
+``NaN``, ``1e+16``, escaped strings). The walk resolves a batch to row
+positions, a head column gathers its text through the node's id column,
+and the answers are joined with ``json.dumps``'s separators. The encoded
+tables are built on the first JSON read — never at build time and never
+at recovery — and are neither pickled nor written to a checkpoint.
+
 Slab-treap snapshot contract
 ----------------------------
 :meth:`FlatOrderTree.snapshot` bumps the epoch and captures the current
@@ -60,6 +72,7 @@ time rather than risking overflow.
 
 from __future__ import annotations
 
+import json as _json
 import os
 from bisect import bisect_left
 from itertools import repeat as _repeat
@@ -153,10 +166,12 @@ class FlatNode:
 
     The int slabs may be externally owned — read-only mmaps adopted by
     :meth:`from_slabs` — and the value tables may arrive as a deferred
-    ``table_loader`` instead of materialized object arrays: ``tables``/
-    ``values`` are then composed on first access (bumping
+    ``table_loader`` instead of materialized object arrays: ``tables`` is
+    then composed on first access (bumping
     :data:`TABLE_MATERIALIZATIONS`), so a recovered node serves counts
     and locates offsets without constructing a single python object.
+    ``encoded`` — each table's values as JSON text — is built on the
+    first JSON read, from ``tables``, and never pickled or stored.
     """
 
     __slots__ = (
@@ -170,7 +185,7 @@ class FlatNode:
         "bucket_base",
         "uniform_stride",
         "_tables",
-        "_values",
+        "_encoded",
         "_table_loader",
     )
 
@@ -191,41 +206,38 @@ class FlatNode:
                 stride if stride > 0 and bool((weights == stride).all()) else 0
             )
         self.uniform_stride = uniform_stride
+        if tables is None and table_loader is None:
+            raise ValueError("FlatNode requires tables or a table_loader")
+        self._tables = tables           # per column: object ndarray id → value
         self._table_loader = table_loader
-        if tables is None:
-            if table_loader is None:
-                raise ValueError("FlatNode requires tables or a table_loader")
-            self._tables = None
-            self._values = None
-        else:
-            self._tables = tables       # per column: object ndarray id → value
-            # Interned ids composed with their tables once, so the batch
-            # walk pays one object gather per column instead of two.
-            self._values = [table[ids_] for table, ids_ in zip(tables, ids)]
+        self._encoded = None
 
     @property
     def tables(self):
         tables = self._tables
         if tables is None:
-            tables = self._materialize()
+            global TABLE_MATERIALIZATIONS
+            TABLE_MATERIALIZATIONS += 1
+            tables = [_object_array(table) for table in self._table_loader()]
+            self._tables = tables
+            self._table_loader = None
         return tables
 
     @property
-    def values(self):
-        if self._tables is None:
-            self._materialize()
-        return self._values
+    def encoded(self):
+        """Per column: an object ndarray, value id → ``json.dumps(value)``.
 
-    def _materialize(self):
-        global TABLE_MATERIALIZATIONS
-        TABLE_MATERIALIZATIONS += 1
-        tables = [_object_array(table) for table in self._table_loader()]
-        self._tables = tables
-        self._values = [
-            table[ids_] for table, ids_ in zip(tables, self.ids)
-        ]
-        self._table_loader = None
-        return tables
+        One string per *distinct* value, so a JSON read gathers text
+        through the same id columns a tuple read gathers values through.
+        """
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = [
+                _np.array([_json.dumps(value) for value in table.tolist()],
+                          dtype=object)
+                for table in self.tables
+            ]
+        return encoded
 
     def row_at(self, position: int) -> tuple:
         return tuple(
@@ -256,10 +268,8 @@ class FlatNode:
          self.weights, self.child_suffix, self.child_base, self.bucket_base,
          self.uniform_stride) = state
         self._tables = tables
-        self._values = [
-            table[ids_] for table, ids_ in zip(tables, self.ids)
-        ]
         self._table_loader = None
+        self._encoded = None
 
     # -- lossless slab export/import ------------------------------------ #
 
@@ -547,22 +557,59 @@ def flat_batch(
     the choice of this path: every root must carry columnar arrays (see
     :func:`repro.core.access_engine.vector_batch`).
     """
+    if (project and isinstance(indices, range) and indices.step == 1
+            and len(roots) == 1):
+        # Pagination's shape: one root, one contiguous offset run — the
+        # walk can slice-and-repeat instead of gathering.
+        fast = _contiguous_tuples(
+            roots[0].flat, indices.start, indices.stop, project
+        )
+        if fast is not None:
+            return fast
+    picks = _walk(roots, indices)
+    if project is None:
+        names = sorted(picks)
+        columns = [_gather(picks[name]) for name in names]
+        return [dict(zip(names, values)) for values in zip(*columns)]
+    if len(project) == 0:
+        return [()] * len(indices)
+    columns = [_gather(picks[name]) for name in project]
+    if len(columns) == 1:
+        return [(value,) for value in columns[0]]
+    return list(zip(*columns))
+
+
+def flat_batch_json(
+    roots: Sequence, indices: Sequence[int], project: Sequence[str]
+) -> str:
+    """``json.dumps`` of :func:`flat_batch`'s tuples, written from text.
+
+    The same walk, but each head column gathers its answers' JSON text
+    from the node's pre-encoded table (:attr:`FlatNode.encoded`) instead
+    of their values, and the answers are joined with ``json.dumps``'s own
+    separators — no tuple, list or per-answer encoder call. ``indices``
+    must be non-empty and ``project`` must name at least one variable;
+    the rest of :func:`flat_batch`'s contract applies.
+    """
+    picks = _walk(roots, indices)
+    columns = [_gather(picks[name], encoded=True) for name in project]
+    return "[[" + "], [".join(map(", ".join, zip(*columns))) + "]]"
+
+
+def _walk(roots: Sequence, indices: Sequence[int]) -> Dict[str, tuple]:
+    """The rows a batch resolves to: variable → ``(node, column, rows)``.
+
+    ``rows`` indexes the node's arrays (an int64 array, or a slice for a
+    contiguous run) and aligns with the request.
+    """
     flats = [root.flat for root in roots]
-    out: Dict[str, object] = {}
+    out: Dict[str, tuple] = {}
     if isinstance(indices, _np.ndarray):
         remaining = indices.astype(_np.int64, copy=False)
     elif isinstance(indices, range):
         if indices.step == 1 and len(roots) == 1:
-            # Pagination's shape: one root, one contiguous offset run —
-            # the walk can slice-and-repeat instead of gathering.
-            if project:
-                fast = _contiguous_tuples(
-                    flats[0], indices.start, indices.stop, project
-                )
-                if fast is not None:
-                    return fast
             _contiguous_walk(flats[0], indices.start, indices.stop, out)
-            return _materialize(out, project, len(indices))
+            return out
         remaining = _np.arange(
             indices.start, indices.stop, indices.step, dtype=_np.int64
         )
@@ -578,23 +625,19 @@ def flat_batch(
             _flat_walk(flats[position], digit, out)
         else:
             _flat_walk(flats[position], remaining, out)
-    return _materialize(out, project, len(indices))
+    return out
 
 
-def _materialize(
-    out: Dict[str, object], project: Optional[Sequence[str]], count: int
-) -> List[object]:
-    """Column arrays → the python objects ``batch_access`` promises."""
-    if project is None:
-        names = sorted(out)
-        columns = [out[name].tolist() for name in names]
-        return [dict(zip(names, values)) for values in zip(*columns)]
-    if len(project) == 0:
-        return [()] * count
-    columns = [out[name].tolist() for name in project]
-    if len(columns) == 1:
-        return [(value,) for value in columns[0]]
-    return list(zip(*columns))
+def _gather(pick: tuple, encoded: bool = False) -> list:
+    """One picked column's values — or, ``encoded``, their JSON text."""
+    flat, column, rows = pick
+    table = (flat.encoded if encoded else flat.tables)[column]
+    return table[flat.ids[column][rows]].tolist()
+
+
+def _pick(flat: FlatNode, rows, out: Dict[str, tuple]) -> None:
+    for column, name in enumerate(flat.columns):
+        out[name] = (flat, column, rows)
 
 
 #: Above this batch size an unsorted ``searchsorted`` goes cache-bound
@@ -632,11 +675,10 @@ def _locate(flat: FlatNode, offsets):
     return positions, offsets - row_start[positions]
 
 
-def _flat_walk(flat: FlatNode, offsets, out: Dict[str, object]) -> None:
+def _flat_walk(flat: FlatNode, offsets, out: Dict[str, tuple]) -> None:
     """One node level of the vectorized walk (absolute offsets in)."""
     positions, remainders = _locate(flat, offsets)
-    for name, column in zip(flat.columns, flat.values):
-        out[name] = column[positions]
+    _pick(flat, positions, out)
     _descend(flat, positions, remainders, out)
 
 
@@ -665,12 +707,12 @@ def _contiguous_tuples(
     The most common pagination shape — a uniform-stride root over one
     unit-leaf child — admits a result-direct construction: within one
     root row the projected root values are constants and the leaf values
-    are one contiguous slice of the leaf's column (offset ``base + r`` for
+    are one contiguous slice of the leaf's rows (offset ``base + r`` for
     remainders ``0 … stride``), so each row's answers come out of a single
     ``zip(leaf_slice, repeat(const), …)``. That builds the final tuples
-    with no offset arrays, no gathers, and no per-column ``tolist`` over
-    the full run — the page costs O(rows touched) python iterations plus
-    the unavoidable tuple construction both backends share.
+    with no offset arrays and no per-column ``tolist`` over the full run
+    — the page costs O(rows touched) python iterations plus the
+    unavoidable tuple construction both backends share.
     """
     stride = flat.uniform_stride
     if stride <= 1 or len(flat.children) != 1:
@@ -691,20 +733,23 @@ def _contiguous_tuples(
     shift = start - lo * stride
     bases = flat.child_base[0][lo:hi].tolist()
     row_values = [
-        flat.values[position][lo:hi].tolist() if is_root else None
-        for is_root, position in sources
+        flat.tables[column][flat.ids[column][lo:hi]].tolist()
+        if is_root else None
+        for is_root, column in sources
     ]
-    leaf_values = [
-        None if is_root else child.values[position]
-        for is_root, position in sources
+    leaf_columns = [
+        None if is_root else (child.tables[column], child.ids[column])
+        for is_root, column in sources
     ]
     out: List[tuple] = []
     extend = out.extend
     for row, base in enumerate(bases):
         extend(zip(*[
             _repeat(row_values[slot][row], stride)
-            if leaf_values[slot] is None
-            else leaf_values[slot][base:base + stride].tolist()
+            if leaf_columns[slot] is None
+            else leaf_columns[slot][0][
+                leaf_columns[slot][1][base:base + stride]
+            ].tolist()
             for slot in range(len(sources))
         ]))
     if shift or len(out) != stop - start:
@@ -718,28 +763,27 @@ def _contiguous_walk(flat: FlatNode, start: int, stop: int, out) -> None:
     On a uniform-stride node the run touches rows ``start//s ..
     (stop-1)//s``; every per-offset array is a repeat (or, at stride 1, a
     plain slice) of that tiny row window, so the level costs a few
-    O(rows-touched) ops instead of O(offsets) gathers — the difference
-    between a pagination sweep being gather-bound or memcpy-bound.
+    O(rows-touched) ops instead of O(offsets) searches — the difference
+    between a pagination sweep being search-bound or memcpy-bound.
     """
     stride = flat.uniform_stride
     if not stride:
         _flat_walk(flat, _np.arange(start, stop, dtype=_np.int64), out)
         return
     if stride == 1:
-        for name, column in zip(flat.columns, flat.values):
-            out[name] = column[start:stop]
+        rows = slice(start, stop)
+        _pick(flat, rows, out)
         if flat.children:
-            _descend(flat, slice(start, stop), None, out)
+            _descend(flat, rows, None, out)
         return
     lo = start // stride
     hi = (stop - 1) // stride + 1
     shift = start - lo * stride
     n = stop - start
-    for name, column in zip(flat.columns, flat.values):
-        out[name] = column[lo:hi].repeat(stride)[shift:shift + n]
+    positions = _np.arange(lo, hi, dtype=_np.int64) \
+        .repeat(stride)[shift:shift + n]
+    _pick(flat, positions, out)
     if flat.children:
-        positions = _np.arange(lo, hi, dtype=_np.int64) \
-            .repeat(stride)[shift:shift + n]
         remainders = _np.tile(
             _np.arange(stride, dtype=_np.int64), hi - lo
         )[shift:shift + n]

@@ -105,8 +105,11 @@ class LazyShuffle:
 
 
 #: Below this many draws the pure-python ``take`` loop beats the fixed
-#: cost of the vectorized path (state transfer + a few full-array passes).
-_VECTOR_MIN_DRAWS = 1024
+#: cost of the vectorized path (≈0.1 ms: a state save and restore plus a
+#: few full-array passes); at n = 5M the two cross near 160 draws. Below
+#: four times as many items the draw widths span many bit lengths, the
+#: fixpoint needs many rounds, and the scalar loop stays faster too.
+_VECTOR_MIN_DRAWS = 256
 
 
 def sample_positions(n: int, k: int, rng: Optional[random.Random] = None):
@@ -115,9 +118,9 @@ def sample_positions(n: int, k: int, rng: Optional[random.Random] = None):
     Bit-for-bit the same positions, consuming bit-for-bit the same
     randomness from ``rng`` (its state afterwards is exactly as if
     ``take`` had run) — but, for large draws, computed vectorized:
-    ``random.Random`` is MT19937, and numpy ships the same generator with
-    an assignable state, so the word stream behind the per-draw
-    ``randrange(i, n)`` calls can be produced as one array and the
+    ``random.Random`` is MT19937, each per-draw ``randrange(i, n)`` call
+    consumes whole 32-bit words, and a saved state can be restored, so the
+    word stream behind those calls can be produced as one array and the
     rejection sampling + lazy Fisher–Yates swap chain replayed over it in
     bulk (see :func:`_vector_take`). ``sample_many`` draws positions
     through this instead of ``take`` because a throwaway shuffle needs no
@@ -127,7 +130,8 @@ def sample_positions(n: int, k: int, rng: Optional[random.Random] = None):
     vectorized one — the batch entry points accept either, and the flat
     backend consumes the array with no per-position boxing at all.
     """
-    if k < _VECTOR_MIN_DRAWS or n < 2 or n.bit_length() > 32:
+    if (k < _VECTOR_MIN_DRAWS or n < 4 * _VECTOR_MIN_DRAWS
+            or n.bit_length() > 32):
         return LazyShuffle(n, rng).take(k)
     if rng is None:
         rng = random.Random()
@@ -144,8 +148,9 @@ def _vector_take(n: int, m: int, rng: random.Random):
     ``getrandbits(k)`` takes the **top** ``k = (n-i).bit_length()`` bits
     of one 32-bit Mersenne word, rejecting values ``≥ n - i``. Stages:
 
-    1. *State transfer* — seed a numpy ``MT19937`` with ``rng``'s 624-word
-       key and position and pull the upcoming raw words as one array.
+    1. *Word stream* — save ``rng``'s state and pull the upcoming raw
+       words as one array: ``getrandbits(32 · w)`` draws exactly ``w``
+       words, the first in its lowest 32 bits.
     2. *Rejection replay* — which draw consumes which word depends on the
        earlier rejections, so solve for the assignment by fixpoint: guess
        "no rejections", recompute each word's draw index from the accept
@@ -158,21 +163,15 @@ def _vector_take(n: int, m: int, rng: random.Random):
        slot. Only duplicated ``j`` values and ``j < m`` (slots a later
        draw reads as its ``i``) can collide — a scalar replay over that
        sparse subset fixes them.
-    4. *State sync* — replay the consumed word count onto a fresh copy of
-       the transferred state and hand the result back to ``rng``.
+    4. *State sync* — restore the saved state and advance ``rng`` by
+       exactly the consumed word count, in one ``getrandbits`` call.
 
     Returns ``None`` (caller falls back to the scalar loop) if the
     fixpoint has not settled after 48 rounds.
     """
-    version, internal, gauss_next = rng.getstate()
-    if version != 3 or len(internal) != 625:  # pragma: no cover
+    saved = rng.getstate()
+    if saved[0] != 3:  # pragma: no cover - not a Mersenne Twister state
         return None
-    key, pos = internal[:-1], internal[-1]
-    mt = _np.random.MT19937()
-    mt.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": _np.array(key, dtype=_np.uint64), "pos": pos},
-    }
 
     widths = n - _np.arange(m, dtype=_np.int64)
     # Vectorized bit_length: index of the first power of two > width.
@@ -188,7 +187,7 @@ def _vector_take(n: int, m: int, rng: random.Random):
     rate = float(widths[0] + widths[-1]) / 2.0 / float(
         1 << (32 - (flat_shift if flat_shift is not None else int(shifts[0])))
     )
-    words = mt.random_raw(int(m / rate) + (m >> 4) + 64).astype(_np.int64)
+    words = _raw_words(rng, int(m / rate) + (m >> 4) + 64)
     while True:
         total = len(words)
         lanes = _np.arange(total, dtype=_np.int64)
@@ -215,9 +214,7 @@ def _vector_take(n: int, m: int, rng: random.Random):
         if accepted[-1] >= m:
             break
         missing = m - int(accepted[-1])
-        words = _np.concatenate(
-            [words, mt.random_raw(missing * 2 + 64).astype(_np.int64)]
-        )
+        words = _np.concatenate([words, _raw_words(rng, missing * 2 + 64)])
 
     hits = _np.flatnonzero(accept)[:m]
     consumed = int(hits[-1]) + 1
@@ -246,19 +243,16 @@ def _vector_take(n: int, m: int, rng: random.Random):
         emitted[special] = patched
 
     # Advance rng past exactly the words the scalar loop would have used.
-    sync = _np.random.MT19937()
-    sync.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": _np.array(key, dtype=_np.uint64), "pos": pos},
-    }
-    sync.random_raw(consumed)
-    state = sync.state["state"]
-    rng.setstate((
-        3,
-        tuple(int(word) for word in state["key"]) + (int(state["pos"]),),
-        gauss_next,
-    ))
+    rng.setstate(saved)
+    rng.getrandbits(32 * consumed)
     return emitted
+
+
+def _raw_words(rng: random.Random, count: int):
+    """The next ``count`` 32-bit Mersenne words of ``rng``, in draw order,
+    as an int64 array."""
+    stream = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return _np.frombuffer(stream, dtype="<u4").astype(_np.int64)
 
 
 def random_permutation_indices(n: int, rng: Optional[random.Random] = None) -> Iterator[int]:

@@ -43,6 +43,7 @@ for every union of free-connex CQs).
 from __future__ import annotations
 
 import functools
+import json
 import random
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -381,6 +382,10 @@ class UnionServingMixin:
         or a sample share member descents like a CQ batch does.
         """
         return self._union.batch(indices)
+
+    def batch_json(self, indices: Sequence[int]) -> str:
+        """``json.dumps(self.batch(indices))``: the answers as JSON text."""
+        return json.dumps(self.batch(indices))
 
     def sample_many(self, k: int, rng: Optional[random.Random] = None) -> List[tuple]:
         """The first ``min(k, count)`` draws of :meth:`random_order`.

@@ -69,6 +69,7 @@ import urllib.parse
 from typing import List, Optional, Tuple
 
 from repro import faults
+from repro.core.shuffle import sample_positions
 from repro.database.database import Database
 from repro.database.delta import DeltaError, DeltaLineError, delta_from_jsonl
 from repro.errors import ReproError
@@ -110,6 +111,32 @@ class HttpError(ReproError):
         super().__init__(message)
         self.status = status
         self.payload = {"error": message, **extra}
+
+
+class _RawJSON:
+    """JSON text a handler already encoded: a payload's ``answers``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload)``, splicing in a pre-encoded ``answers``.
+
+    A :class:`_RawJSON` value is only spliced as the payload's *first*
+    key, where the text lands exactly where ``json.dumps`` would have
+    written the encoded answers.
+    """
+    answers = payload.get("answers") if type(payload) is dict else None
+    if type(answers) is not _RawJSON:
+        return json.dumps(payload)
+    assert next(iter(payload)) == "answers"
+    rest = json.dumps({k: v for k, v in payload.items() if k != "answers"})
+    return '{"answers": ' + answers.text + (
+        ", " + rest[1:] if len(rest) > 2 else "}"
+    )
 
 
 def _clamped_range(start: int, stop: int):
@@ -217,7 +244,7 @@ class ReproApp:
     async def _send_json(
         send, status: int, payload, extra_headers: Optional[List] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = _dumps(payload).encode("utf-8")
         headers = [
             (b"content-type", b"application/json"),
             (b"content-length", str(len(body)).encode("ascii")),
@@ -245,6 +272,9 @@ class ReproApp:
         client=None,
     ) -> Tuple[int, dict, List[Tuple[str, str]]]:
         """Route one request; returns ``(status, payload, extra headers)``.
+
+        The ``answers`` of a page, batch or sample payload arrive already
+        encoded, as the JSON text of the view's ``batch_json``.
 
         Synchronous on purpose: every handler is a short CPU-bound read
         (wait-free snapshot access) or a serialized write. The stdlib
@@ -630,13 +660,13 @@ class ReproApp:
             view = cursor.pinned
             version = cursor.version
             count = view.count
-            answers = view.batch(positions_of(count))
+            positions = positions_of(count)
             return {
-                "answers": [list(a) for a in answers],
+                "answers": _RawJSON(view.batch_json(positions)),
                 **fields,
                 "count": count,
                 "version": version,
-                "charge": len(answers),
+                "charge": len(positions),
             }
 
         return self._read(session_id, read)
@@ -651,12 +681,13 @@ class ReproApp:
             view = cursor.pinned
             version = cursor.version
             rng = random.Random(seed) if seed is not None else random.Random()
-            answers = view.sample_many(k, rng)
+            # The view's sample_many(k, rng), encoded by batch_json.
+            positions = sample_positions(view.count, k, rng)
             return {
-                "answers": [list(a) for a in answers],
+                "answers": _RawJSON(view.batch_json(positions)),
                 "k": k,
                 "version": version,
-                "charge": len(answers),
+                "charge": len(positions),
             }
 
         return self._read(session_id, read)

@@ -232,6 +232,10 @@ class Cursor:
         """The answers at ``positions`` (unsorted, duplicates allowed)."""
         return self._view().batch(positions)
 
+    def batch_json(self, positions: Sequence[int]) -> str:
+        """``json.dumps(self.batch(positions))``, from the pinned view."""
+        return self._view().batch_json(positions)
+
     def batch_range(self, start: int, stop: int) -> List[tuple]:
         """The answers at positions ``[start, min(stop, count))``.
 

@@ -1,5 +1,6 @@
 """Tests for the Cursor read surface, transactions, and the apply CLI."""
 
+import json
 import random
 import threading
 
@@ -156,7 +157,7 @@ class TestCursorReads:
     def test_every_view_serves_the_index_contract(self, kind, monkeypatch):
         """Every view kind serves one read surface; a cursor pinning it
         serves the same answers."""
-        from repro.core import access_engine
+        from repro.core import access_engine, flat_store
         from repro.core.errors import OutOfBoundError
 
         built = READ_VIEWS[kind]()
@@ -187,12 +188,28 @@ class TestCursorReads:
             def resolved(*args):
                 raise AssertionError("resolved before the bound check")
 
+            # Unsorted, with duplicates, and long enough for the flat
+            # kernel (flat_store.VECTOR_MIN) as well as short.
+            for asked in (wanted, wanted * 3, range(n), range(3, n, 5),
+                          np.array(wanted * 3, dtype=np.int64), [2, 1], []):
+                assert view.batch_json(asked) == json.dumps(view.batch(asked))
+            for bad in ([0, n], [-1, 1], range(n - 1, n + 1),
+                        np.array(list(range(40)) + [n], dtype=np.int64)):
+                with pytest.raises(OutOfBoundError) as raised:
+                    view.batch(bad)
+                with pytest.raises(OutOfBoundError) as encoded:
+                    view.batch_json(bad)
+                assert encoded.value.args == raised.value.args
+
             with monkeypatch.context() as patch:
                 patch.setattr(access_engine, "batch_walk", resolved)
                 patch.setattr(access_engine, "vector_batch", resolved)
+                patch.setattr(flat_store, "flat_batch_json", resolved)
                 for bad in ([0, n], [-1, 1], range(n - 1, n + 1)):
                     with pytest.raises(OutOfBoundError):
                         view.batch(bad)
+                    with pytest.raises(OutOfBoundError):
+                        view.batch_json(bad)
         assert views[0].batch(range(views[0].count)) == every
 
 

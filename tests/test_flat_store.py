@@ -4,14 +4,17 @@ The slab-treap suite mirrors ``test_order_tree.py`` — same reference
 model, same scenarios — with handles being stable integer row ids
 instead of node objects. On top of that: snapshot copy-on-write under
 every mutation kind, the read-only store views, the dynamic bucket over
-either treap, and the backend selector (``resolve_store`` /
-``REPRO_STORE``).
+either treap, the JSON batch encoder over the static flat nodes, and the
+backend selector (``resolve_store`` / ``REPRO_STORE``).
 """
 
+import json
 import random
 
+import numpy as np
 import pytest
 
+from repro import CQIndex, Database, Relation, parse_cq
 from repro.core import flat_store
 from repro.core.dynamic import _DynamicBucket
 from repro.core.flat_store import (
@@ -407,3 +410,69 @@ class TestResolveStore:
         monkeypatch.setenv(flat_store.STORE_ENV, "bogus")
         with pytest.raises(ValueError):
             resolve_store(None)
+
+
+#: One value of every type the canonical codec carries, among them every
+#: one whose JSON text is not its ``str``: bools are not ints, floats
+#: keep their exponent and sign, strings are escaped to ASCII.
+CODEC_VALUES = [
+    -7, -(2 ** 63), 2 ** 53 + 1, 2 ** 70, 1, 1.0, True, False, None,
+    1e16, -0.0, 2.5, float("nan"), float("inf"), float("-inf"),
+    'say "hi"', "back\\slash", "new\nline\ttab", "naïve ☃ 𝄞", "",
+]
+
+
+class TestBatchJson:
+    """``CQIndex.batch_json`` on the static flat store is
+    ``json.dumps`` of the tuple store's answers, byte for byte."""
+
+    def build(self, store):
+        size = len(CODEC_VALUES)
+        database = Database([
+            Relation("R", ("a", "b"), [
+                (value, position % 4)
+                for position, value in enumerate(CODEC_VALUES)
+            ]),
+            Relation("S", ("b", "c"), [
+                (b, CODEC_VALUES[(5 * b + i) % size])
+                for b in range(4) for i in range(3)
+            ]),
+        ])
+        index = CQIndex(parse_cq("Q(c, a, b) :- R(a, b), S(b, c)"),
+                        database, store=store)
+        assert index.store == store
+        return index
+
+    def test_every_codec_value_encodes_like_json_dumps(self):
+        flat, plain = self.build("flat"), self.build("tuple")
+        n = flat.count
+        assert n == plain.count >= flat_store.VECTOR_MIN + 8
+        shuffled = random.Random(1).sample(range(n), n) + [0, n - 1, 0]
+        for asked in (range(n), range(5, n - 3), shuffled,
+                      np.array(shuffled, dtype=np.int64)):
+            expected = json.dumps(plain.batch(asked))
+            assert flat.batch_json(asked) == expected
+            assert plain.batch_json(asked) == expected
+        every = flat.batch_json(range(n))
+        assert [json.dumps(answer) for answer in json.loads(every)] == \
+            [json.dumps(list(answer)) for answer in plain.batch(range(n))]
+        for text in ("true", "false", "null", "NaN", "-Infinity", "1e+16",
+                     "-0.0", "9007199254740993", '"say \\"hi\\""',
+                     "\\u00efve \\u2603 \\ud834\\udd1e"):
+            assert text in every
+        assert all(node.flat._encoded is not None
+                   for node in flat.roots[0].all_nodes())
+
+    def test_encoded_tables_are_built_once_per_distinct_value(self):
+        flat = self.build("flat")
+        nodes = [node.flat for node in flat.roots[0].all_nodes()]
+        assert all(node._encoded is None for node in nodes)
+        flat.batch(range(flat.count))
+        assert all(node._encoded is None for node in nodes)
+        flat.batch_json(range(flat.count))
+        tables = [node._encoded for node in nodes]
+        flat.batch_json(range(flat.count))
+        assert [node._encoded for node in nodes] == tables
+        for node in nodes:
+            for table, encoded in zip(node.tables, node.encoded):
+                assert encoded.tolist() == [json.dumps(v) for v in table]

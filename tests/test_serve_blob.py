@@ -3,13 +3,14 @@
 Covers the zero-copy contract end to end: lossless round-trips through
 the npy-slab format (mixed scalar types, type-exactly), lazy value-table
 materialization (recovery constructs **zero** per-row python objects
-before the first object-gathering read), pickling of blob-loaded
-entries, the pickle fallback for entries the format cannot carry
-(int64-overflow tuple fallback, unpicklable cache entries), and the
-manifest/CLI size-and-skip reporting.
+before the first object-gathering read, and no JSON encodings before the
+first served page), pickling of blob-loaded entries, the pickle fallback
+for entries the format cannot carry (int64-overflow tuple fallback,
+unpicklable cache entries), and the manifest/CLI size-and-skip reporting.
 """
 
 import argparse
+import json
 import pickle
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro import Database, Delta, QueryService, Relation, parse_cq
 from repro.cli import _print_serve_report, command_checkpoint, command_recover
 from repro.core import flat_store
 from repro.core.cq_index import CQIndex
+from repro.server import create_app
+from repro.server.testing import TestClient
 from repro.service.cache import Slot
 from repro.storage import serve_blob
 from repro.storage.checkpoint import latest_checkpoint, valid_checkpoints
@@ -205,6 +208,50 @@ class TestCheckpointBlobLane:
         assert page == expected_page
         for original, answer in zip(expected_page, page):
             assert cells_identical(original, answer)
+
+    def test_recovered_entry_encodes_json_on_its_first_page(self, tmp_path):
+        """``count`` over HTTP stays on the slabs; the first page builds
+        the value tables and their JSON encodings, once per node."""
+        database = Database([
+            Relation("R", ("a", "b"), [
+                (value, i % 3) for i, value in enumerate(
+                    [1, 2.5, "x", None, True, -7, 2 ** 60, "q\"", 0.5, False]
+                )
+            ]),
+            Relation("S", ("b", "c"), [
+                (b, c) for b in range(3) for c in ("alpha", None, 3.25, 9)
+            ]),
+        ])
+        service, expected = durable_service(tmp_path, database)
+        assert expected >= 40
+        cursor = service.cursor(QUERY)
+        expected_pages = [json.dumps([list(a) for a in cursor.page(n, 20)])
+                          for n in (0, 1)]
+        service.checkpoint()
+        service.database.log.close()
+
+        before = flat_store.TABLE_MATERIALIZATIONS
+        app = create_app(QueryService.recover(tmp_path, store="flat"))
+        client = TestClient(app)
+        sid = client.post("/cursors", json={"query": QUERY}).json()["cursor"]
+        assert client.get(f"/cursors/{sid}/count").json()["count"] == expected
+        index = app.sessions.get(sid).cursor.pinned
+        nodes = [node.flat
+                 for root in index._forest.roots for node in root.all_nodes()]
+        assert all(node._encoded is None for node in nodes)
+        assert flat_store.TABLE_MATERIALIZATIONS == before
+
+        first = client.get(f"/cursors/{sid}/page?number=0&size=40")
+        assert first.json()["answers"] == json.loads(expected_pages[0]) + \
+            json.loads(expected_pages[1])
+        assert flat_store.TABLE_MATERIALIZATIONS == before + len(nodes)
+        encoded = [node._encoded for node in nodes]
+        assert all(table is not None for table in encoded)
+        again = client.get(f"/cursors/{sid}/batch?start=2&stop=40")
+        assert again.json()["answers"] == first.json()["answers"][2:]
+        assert all(node._encoded is table
+                   for node, table in zip(nodes, encoded))
+        assert flat_store.TABLE_MATERIALIZATIONS == before + len(nodes)
 
     def test_seeded_entry_survives_wal_tail_on_unrelated_relation(
         self, tmp_path

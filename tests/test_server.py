@@ -9,6 +9,7 @@ bottom, which serves a recovered durable store over a real socket — the
 import http.client
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -201,6 +202,73 @@ class TestCursorReads:
         assert c.get("/cursors/never-existed/count").status == 404
 
 
+def wide_db() -> Database:
+    """64 chain answers, 80 union answers: past the flat kernel's
+    ``VECTOR_MIN``, and a union whose members overlap."""
+    return Database([
+        Relation("R", ("a", "b"), [(a, a % 4) for a in range(16)]),
+        Relation("S", ("b", "c"), [
+            (b, f"s{b}-{i}") for b in range(4) for i in range(4)
+        ]),
+        Relation("T", ("b", "c"), [
+            (b, f"s{b}-{i}") for b in range(4) for i in (3, 7)
+        ]),
+    ])
+
+
+class TestAnswerBodies:
+    """Page, batch and sample bodies are exactly ``json.dumps`` of the
+    payload built from the pinned view's ``batch`` / ``sample_many``:
+    answers as lists, then the endpoint's fields, then ``cursor``."""
+
+    @pytest.mark.parametrize("store, dynamic, query", [
+        ("flat", False, CHAIN),
+        ("tuple", False, CHAIN),
+        ("flat", True, CHAIN),
+        ("tuple", True, CHAIN),
+        ("flat", False, UNION),
+        ("flat", True, UNION),
+    ], ids=["static-flat", "static-tuple", "dynamic-flat", "dynamic-tuple",
+            "mcucq-static", "mcucq-dynamic"])
+    def test_bodies_equal_json_dumps_of_the_answers(self, store, dynamic, query):
+        app = create_app(wide_db(), store=store, dynamic=dynamic)
+        c = TestClient(app)
+        sid = open_cursor(c, query)["cursor"]
+        view = app.sessions.get(sid).cursor.pinned
+        count, version = view.count, c.get("/healthz").json()["version"]
+        assert count >= 64
+
+        def body(answers, **fields):
+            return json.dumps({
+                "answers": [list(answer) for answer in answers], **fields,
+                "cursor": sid,
+            }).encode("utf-8")
+
+        for number, size in ((0, 40), (1, 40), (0, count), (3, 7), (9, 40)):
+            start = number * size
+            expected = body(
+                view.batch(range(min(start, count), min(start + size, count))),
+                number=number, size=size, count=count, version=version,
+            )
+            got = c.get(f"/cursors/{sid}/page?number={number}&size={size}")
+            assert got.body == expected
+        for start, stop in ((0, count), (5, 50), (count - 3, count + 9)):
+            expected = body(view.batch(range(start, min(stop, count))),
+                            count=count, version=version)
+            got = c.get(f"/cursors/{sid}/batch?start={start}&stop={stop}")
+            assert got.body == expected
+        wanted = [count - 1, 0, 7, 7] + list(range(3, count, 2))
+        expected = body(view.batch(wanted), count=count, version=version)
+        got = c.get(f"/cursors/{sid}/batch?positions="
+                    + ",".join(map(str, wanted)))
+        assert got.body == expected
+        for k, seed in ((1, 3), (40, 5), (count, 7), (count + 50, 9)):
+            expected = body(view.sample_many(k, random.Random(seed)),
+                            k=k, version=version)
+            got = c.get(f"/cursors/{sid}/sample?k={k}&seed={seed}")
+            assert got.body == expected
+
+
 class TestSessionLifecycle:
     def test_idle_ttl_expires_sessions(self):
         clock = FakeClock()
@@ -271,9 +339,10 @@ class TestReadBudget:
         assert c.get(f"/cursors/{sid}/sample?k=4&seed=1").status == 200
         view = app.sessions.get(sid).cursor.pinned
         walks = []
-        monkeypatch.setattr(
-            type(view), "sample_many", lambda *args: walks.append(args) or []
-        )
+        for name in ("sample_many", "batch", "batch_json"):
+            monkeypatch.setattr(
+                type(view), name, lambda *args: walks.append(args) or []
+            )
         assert c.get(f"/cursors/{sid}/sample?k=4&seed=1").status == 429
         assert walks == []
 

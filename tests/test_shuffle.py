@@ -63,6 +63,9 @@ class TestSamplePositions:
         (1_200, 2_000, True),             # k > n
         (2 ** 32 - 1, 2_000, True),       # widest 32-bit draws
         (2 ** 32 + 5, 1_500, False),      # > 32 bits: the scalar loop
+        (5_000_000, 256, True),           # the fewest vectorized draws
+        (5_000_000, 255, False),
+        (1_000, 600, False),              # few items: the scalar loop
     ])
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_the_scalar_take(self, n, k, vectorized, seed):
