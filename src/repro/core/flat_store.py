@@ -166,8 +166,8 @@ class FlatNode:
 
     The int slabs may be externally owned — read-only mmaps adopted by
     :meth:`from_slabs` — and the value tables may arrive as a deferred
-    ``table_loader`` instead of materialized object arrays: ``tables`` is
-    then composed on first access (bumping
+    ``table_loader`` instead of materialized object arrays: ``tables``/
+    ``values`` are then composed on first access (bumping
     :data:`TABLE_MATERIALIZATIONS`), so a recovered node serves counts
     and locates offsets without constructing a single python object.
     ``encoded`` — each table's values as JSON text — is built on the
@@ -185,6 +185,7 @@ class FlatNode:
         "bucket_base",
         "uniform_stride",
         "_tables",
+        "_values",
         "_encoded",
         "_table_loader",
     )
@@ -206,21 +207,41 @@ class FlatNode:
                 stride if stride > 0 and bool((weights == stride).all()) else 0
             )
         self.uniform_stride = uniform_stride
-        if tables is None and table_loader is None:
-            raise ValueError("FlatNode requires tables or a table_loader")
-        self._tables = tables           # per column: object ndarray id → value
         self._table_loader = table_loader
         self._encoded = None
+        if tables is None:
+            if table_loader is None:
+                raise ValueError("FlatNode requires tables or a table_loader")
+            self._tables = None
+            self._values = None
+        else:
+            self._tables = tables       # per column: object ndarray id → value
+            # Interned ids composed with their tables once, so the batch
+            # walk pays one object gather per column instead of two.
+            self._values = [table[ids_] for table, ids_ in zip(tables, ids)]
 
     @property
     def tables(self):
         tables = self._tables
         if tables is None:
-            global TABLE_MATERIALIZATIONS
-            TABLE_MATERIALIZATIONS += 1
-            tables = [_object_array(table) for table in self._table_loader()]
-            self._tables = tables
-            self._table_loader = None
+            tables = self._materialize()
+        return tables
+
+    @property
+    def values(self):
+        if self._tables is None:
+            self._materialize()
+        return self._values
+
+    def _materialize(self):
+        global TABLE_MATERIALIZATIONS
+        TABLE_MATERIALIZATIONS += 1
+        tables = [_object_array(table) for table in self._table_loader()]
+        self._tables = tables
+        self._values = [
+            table[ids_] for table, ids_ in zip(tables, self.ids)
+        ]
+        self._table_loader = None
         return tables
 
     @property
@@ -228,7 +249,7 @@ class FlatNode:
         """Per column: an object ndarray, value id → ``json.dumps(value)``.
 
         One string per *distinct* value, so a JSON read gathers text
-        through the same id columns a tuple read gathers values through.
+        through the id columns instead of keeping a second per-row column.
         """
         encoded = self._encoded
         if encoded is None:
@@ -268,6 +289,9 @@ class FlatNode:
          self.weights, self.child_suffix, self.child_base, self.bucket_base,
          self.uniform_stride) = state
         self._tables = tables
+        self._values = [
+            table[ids_] for table, ids_ in zip(tables, self.ids)
+        ]
         self._table_loader = None
         self._encoded = None
 
@@ -631,8 +655,9 @@ def _walk(roots: Sequence, indices: Sequence[int]) -> Dict[str, tuple]:
 def _gather(pick: tuple, encoded: bool = False) -> list:
     """One picked column's values — or, ``encoded``, their JSON text."""
     flat, column, rows = pick
-    table = (flat.encoded if encoded else flat.tables)[column]
-    return table[flat.ids[column][rows]].tolist()
+    if encoded:
+        return flat.encoded[column][flat.ids[column][rows]].tolist()
+    return flat.values[column][rows].tolist()
 
 
 def _pick(flat: FlatNode, rows, out: Dict[str, tuple]) -> None:
@@ -707,12 +732,12 @@ def _contiguous_tuples(
     The most common pagination shape — a uniform-stride root over one
     unit-leaf child — admits a result-direct construction: within one
     root row the projected root values are constants and the leaf values
-    are one contiguous slice of the leaf's rows (offset ``base + r`` for
+    are one contiguous slice of the leaf's column (offset ``base + r`` for
     remainders ``0 … stride``), so each row's answers come out of a single
     ``zip(leaf_slice, repeat(const), …)``. That builds the final tuples
-    with no offset arrays and no per-column ``tolist`` over the full run
-    — the page costs O(rows touched) python iterations plus the
-    unavoidable tuple construction both backends share.
+    with no offset arrays, no gathers, and no per-column ``tolist`` over
+    the full run — the page costs O(rows touched) python iterations plus
+    the unavoidable tuple construction both backends share.
     """
     stride = flat.uniform_stride
     if stride <= 1 or len(flat.children) != 1:
@@ -733,23 +758,20 @@ def _contiguous_tuples(
     shift = start - lo * stride
     bases = flat.child_base[0][lo:hi].tolist()
     row_values = [
-        flat.tables[column][flat.ids[column][lo:hi]].tolist()
-        if is_root else None
-        for is_root, column in sources
+        flat.values[position][lo:hi].tolist() if is_root else None
+        for is_root, position in sources
     ]
-    leaf_columns = [
-        None if is_root else (child.tables[column], child.ids[column])
-        for is_root, column in sources
+    leaf_values = [
+        None if is_root else child.values[position]
+        for is_root, position in sources
     ]
     out: List[tuple] = []
     extend = out.extend
     for row, base in enumerate(bases):
         extend(zip(*[
             _repeat(row_values[slot][row], stride)
-            if leaf_columns[slot] is None
-            else leaf_columns[slot][0][
-                leaf_columns[slot][1][base:base + stride]
-            ].tolist()
+            if leaf_values[slot] is None
+            else leaf_values[slot][base:base + stride].tolist()
             for slot in range(len(sources))
         ]))
     if shift or len(out) != stop - start:

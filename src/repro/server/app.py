@@ -125,18 +125,16 @@ class _RawJSON:
 def _dumps(payload) -> str:
     """``json.dumps(payload)``, splicing in a pre-encoded ``answers``.
 
-    A :class:`_RawJSON` value is only spliced as the payload's *first*
-    key, where the text lands exactly where ``json.dumps`` would have
-    written the encoded answers.
+    A :class:`_RawJSON` value must be the payload's *first* key, and more
+    keys must follow (a session read always ends with ``cursor``): the
+    text then lands exactly where ``json.dumps`` would have written the
+    encoded answers.
     """
-    answers = payload.get("answers") if type(payload) is dict else None
+    answers = payload.get("answers")
     if type(answers) is not _RawJSON:
         return json.dumps(payload)
-    assert next(iter(payload)) == "answers"
     rest = json.dumps({k: v for k, v in payload.items() if k != "answers"})
-    return '{"answers": ' + answers.text + (
-        ", " + rest[1:] if len(rest) > 2 else "}"
-    )
+    return '{"answers": ' + answers.text + ", " + rest[1:]
 
 
 def _clamped_range(start: int, stop: int):
