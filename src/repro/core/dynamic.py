@@ -12,8 +12,9 @@ for **full acyclic joins** (the class all six benchmark queries belong to):
 * every write is a batch: ``apply_delta`` routes a whole
   :class:`~repro.database.delta.Delta` to node rows and runs **one**
   maintenance pass (:meth:`DynamicJoinForest.apply_ops`) — touched
-  buckets are grouped and bulk-inserted, and bucket-total changes
-  multiply up the ancestor chain once per dirty bucket. ``insert`` /
+  buckets are grouped and bulk-inserted, bucket-total changes
+  multiply up the ancestor chain once per dirty bucket, and each
+  bucket's re-weighted rows are one treap pass. ``insert`` /
   ``delete`` are one-op batches through the same pass, O(depth · log);
 * every read comes from
   :class:`~repro.core.access_engine.EngineServingMixin` over the latest
@@ -76,7 +77,7 @@ atom normalization and base-fact routing.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
 from repro.database.relation import row_sort_key
@@ -115,8 +116,10 @@ class _DynamicBucket:
     :class:`~repro.core.order_tree.OrderedWeightTree` (``TreeRow``
     handles) or a :class:`~repro.core.flat_store.FlatOrderTree` (row-id
     handles), which supply the same handle accessors. Rows stay in
-    canonical sort order under arbitrary insert/delete traffic and
-    weights support O(log) point updates. ``rank`` maps each row to its
+    canonical sort order under arbitrary insert/delete traffic, and a
+    batch's weight changes are one tree pass
+    (:meth:`set_row_weights`), one subtotal update per node on the
+    union of the changed rows' root paths. ``rank`` maps each row to its
     handle; ``tombstones`` counts multiplicity-0 rows.
 
     The live bucket answers no reads. :meth:`freeze` returns the
@@ -124,7 +127,8 @@ class _DynamicBucket:
     current tree version — memoized until the next mutation, so clean
     buckets share one frozen view across many publishes. On the object
     treap, the tree's ``on_clone`` hook keeps ``rank`` pointing at live
-    nodes while the write path path-copies around frozen spines; row ids
+    nodes while the write path path-copies around frozen spines (each
+    handle is looked up in ``rank`` only when it is written); row ids
     survive clones, so the slab treap needs no hook.
     """
 
@@ -193,12 +197,20 @@ class _DynamicBucket:
             self.tombstones -= 1
 
     def set_row_weight(self, row: tuple, weight: int) -> None:
-        """Point weight update (no-op, and no re-freeze, when equal)."""
-        handle = self.rank[row]
-        if self.tree.row_weight(handle) == weight:
-            return
-        self._frozen = None
-        self.tree.set_weight(handle, weight)
+        """Point weight update: the one-pair :meth:`set_row_weights`."""
+        self.set_row_weights(((row, weight),))
+
+    def set_row_weights(self, pairs: Iterable[Tuple[tuple, int]]) -> None:
+        """Set many rows' weights in one tree pass (a row listed twice
+        takes its last weight; equal weights are no-ops and keep the
+        frozen view)."""
+        rank = self.rank
+        # Lazy lookups: an earlier row's spine copy may clone a later
+        # row's node, and on_clone re-points rank when it does.
+        self.tree.set_weights((rank[row], weight) for row, weight in pairs)
+        # The frozen view's root is frozen, so any change copied it.
+        if self._frozen is not None and self._frozen.root != self.tree.root:
+            self._frozen = None
 
     def bulk_insert(self, entries: Sequence[Tuple[tuple, int, int]]) -> None:
         """Bulk-add canonically sorted new ``(row, weight, multiplicity)``
@@ -279,14 +291,20 @@ class _DynamicNode:
     def child_bucket_key(self, row: tuple, child_position: int) -> tuple:
         return tuple(row[p] for p in self.child_key_positions[child_position])
 
+    def weight_signature(self, row: tuple) -> tuple:
+        """The row's values in every child-key column: rows that agree on
+        it read the same child buckets, so they weigh the same."""
+        return tuple([row[p] for key in self.child_key_positions for p in key])
+
     def own_weight(self, row: tuple) -> int:
         """``w(row)`` recomputed from current child bucket totals."""
         weight = 1
         for position, child in enumerate(self.children):
             bucket = child.buckets.get(self.child_bucket_key(row, position))
-            if bucket is None or bucket.total == 0:
+            total = bucket.total if bucket is not None else 0
+            if total == 0:
                 return 0
-            weight *= bucket.total
+            weight *= total
         return weight
 
 
@@ -497,11 +515,12 @@ class DynamicJoinForest(EngineServingMixin):
         *deduplicated over the dirty bucket paths*: nodes are
         visited children-first (reverse preorder), each touched bucket is
         processed exactly once — new rows grouped, sorted once, and
-        bulk-inserted; changed weights recomputed once per affected row
-        even when many ops hit the same child bucket — and a parent
-        recomputes a dependent row at most once per batch instead of once
-        per fact. Presence hooks fire once per net 0↔positive transition,
-        after the structure is fully consistent.
+        bulk-inserted; changed weights recomputed once per child-key
+        signature even when many ops hit the same child bucket, and
+        written in one :meth:`_DynamicBucket.set_row_weights` pass —
+        and a parent recomputes a dependent row at most once per batch
+        instead of once per fact. Presence hooks fire once per net
+        0↔positive transition, after the structure is fully consistent.
         """
         per_node: Dict[int, Dict[tuple, int]] = {}
         for shape_position, row, delta in ops:
@@ -584,6 +603,17 @@ class DynamicJoinForest(EngineServingMixin):
             bucket = node.buckets[key] = self._bucket_factory()
         self._mark_dirty(node, key)
         old_total = bucket.total
+        # Child totals are final here (children go first), so rows with
+        # one weight signature share one weight: compute it once.
+        weights: Dict[tuple, int] = {}
+
+        def weight_of(row: tuple) -> int:
+            signature = node.weight_signature(row)
+            weight = weights.get(signature)
+            if weight is None:
+                weight = weights[signature] = node.own_weight(row)
+            return weight
+
         touched = set(recompute)
         fresh: List[Tuple[tuple, int]] = []
         for row, delta in direct:
@@ -599,16 +629,17 @@ class DynamicJoinForest(EngineServingMixin):
             if (multiplicity > 0) != (updated > 0):
                 transitions.append((node.shape_position, row, updated > 0))
             touched.add(row)
+        reweighed: List[Tuple[tuple, int]] = []
         for row in touched:
             multiplicity = bucket.multiplicity_of(row)
             if multiplicity is None:
                 continue  # compacted away between collection and now
-            weight = node.own_weight(row) if multiplicity > 0 else 0
-            bucket.set_row_weight(row, weight)
+            reweighed.append((row, weight_of(row) if multiplicity > 0 else 0))
+        bucket.set_row_weights(reweighed)
         if fresh:
             fresh.sort(key=lambda entry: row_sort_key(entry[0]))
             bucket.bulk_insert(
-                [(row, node.own_weight(row), delta) for row, delta in fresh]
+                [(row, weight_of(row), delta) for row, delta in fresh]
             )
             for row, __ in fresh:
                 node.register_row(key, row)

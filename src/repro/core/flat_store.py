@@ -36,7 +36,8 @@ Value interning
 Column values are interned per node column into ``id → value`` tables
 keyed by ``(type, value)`` — so ``1``, ``1.0`` and ``True`` (equal, and
 hash-equal, as dict keys) keep distinct ids and round-trip exactly, like
-they do through the tuple stores.
+they do through the tuple stores. A float zero keys by its sign too, so
+``0.0`` and ``-0.0`` each serve as themselves.
 
 Encoded tables
 --------------
@@ -67,16 +68,20 @@ adjusted in place, both invisible to root-down snapshot readers.
 
 All flat weights live in int64: a forest whose count (or any per-node
 cumulative weight) reaches 2⁶² falls back to the tuple store at build
-time rather than risking overflow.
+time rather than risking overflow. A slab treap refuses, with
+:class:`FlatOverflowError` and before it mutates anything, any build,
+insert or weight update whose bucket total would reach 2⁶²; every
+subtotal is at most the total, so that one check bounds them all.
 """
 
 from __future__ import annotations
 
 import json as _json
+import math
 import os
 from bisect import bisect_left
 from itertools import repeat as _repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -129,7 +134,9 @@ def resolve_store(store: Optional[str]) -> str:
 
 
 class _ColumnInterner:
-    """Per-column value interning keyed by ``(type, value)``."""
+    """Per-column value interning keyed by ``(type, value)``; a float zero
+    also keys by its sign, since ``-0.0 == 0.0`` and each row must serve
+    its own value, as the tuple store does."""
 
     __slots__ = ("ids", "table")
 
@@ -138,7 +145,11 @@ class _ColumnInterner:
         self.table: List[object] = []
 
     def id_of(self, value) -> int:
-        key = (value.__class__, value)
+        kind = value.__class__
+        if kind is float and not value:
+            key = (kind, value, math.copysign(1.0, value))
+        else:
+            key = (kind, value)
         got = self.ids.get(key)
         if got is None:
             got = self.ids[key] = len(self.table)
@@ -447,6 +458,18 @@ class FlatBucketStore:
 
 class FlatOverflowError(OverflowError):
     """A weight would not fit int64 arrays; caller falls back to tuple."""
+
+
+def _check_fits(weights: Sequence[int], total: int) -> None:
+    """Refuse row weights or a bucket total at the int64 flat limit.
+
+    Every subtotal is at most the total, so a total under the limit
+    bounds them all.
+    """
+    if weights and max(weights) >= _WEIGHT_LIMIT:
+        raise FlatOverflowError("row weight exceeds the int64 flat limit")
+    if total >= _WEIGHT_LIMIT:
+        raise FlatOverflowError("bucket total exceeds the int64 flat limit")
 
 
 def validate_forest_fits(roots: Sequence) -> bool:
@@ -830,6 +853,13 @@ class FlatOrderTree:
     costs, same snapshot/path-copy contract (see the module notes);
     priorities draw from the shared module PRNG, so shapes stay
     reproducible.
+
+    :meth:`set_weights` re-weights many rows in one pass: it copies each
+    changed row's frozen spine once, then updates every subtotal on the
+    union of their root paths once, children first. Every build,
+    insert and weight update first checks that the bucket total stays
+    under ``2⁶²`` (:class:`FlatOverflowError` otherwise, nothing
+    mutated).
     """
 
     __slots__ = ("rows", "keys", "multiplicity", "node_of",
@@ -880,8 +910,6 @@ class FlatOrderTree:
         return row_id
 
     def _new_slot(self, row_id: int, weight: int, priority: float) -> int:
-        if weight >= _WEIGHT_LIMIT:
-            raise FlatOverflowError("row weight exceeds the int64 flat limit")
         if self.slots_used == len(self.left):
             self._grow()
         slot = self.slots_used
@@ -907,6 +935,8 @@ class FlatOrderTree:
     ) -> Tuple["FlatOrderTree", List[int]]:
         """Bulk-build from canonically sorted ``(row, weight, mult)``;
         returns the tree and the row ids in input order."""
+        weights = [entry[1] for entry in entries]
+        _check_fits(weights, sum(weights))
         tree = cls(capacity=max(len(entries), 4))
         slots = []
         for row, weight, multiplicity in entries:
@@ -1008,14 +1038,17 @@ class FlatOrderTree:
         return FlatSnapshotStore(self)
 
     def _clone(self, slot: int) -> int:
-        fresh = self._new_slot(
-            int(self.row_of[slot]), int(self.weight[slot]),
-            float(self.priority[slot]),
-        )
-        self.left[fresh] = self.left[slot]
-        self.right[fresh] = self.right[slot]
-        self.parent[fresh] = self.parent[slot]
-        self.subtotal[fresh] = self.subtotal[slot]
+        """A current-epoch copy of ``slot`` (links copied verbatim), now
+        the row's live slot."""
+        if self.slots_used == len(self.left):
+            self._grow()
+        fresh = self.slots_used
+        self.slots_used = fresh + 1
+        for column in (self.left, self.right, self.parent, self.weight,
+                       self.subtotal, self.priority, self.row_of):
+            column[fresh] = column[slot]
+        self.stamp[fresh] = self.epoch
+        self.node_of[int(self.row_of[slot])] = fresh
         return fresh
 
     def _own_child(self, parent_slot: int, slot: int) -> int:
@@ -1038,15 +1071,20 @@ class FlatOrderTree:
         return fresh
 
     def _owned(self, slot: int) -> int:
-        """An owned version of ``slot``, path-copying its frozen spine."""
-        if self.stamp[slot] == self.epoch:
+        """An owned version of ``slot``, path-copying its frozen spine.
+
+        Ownership is always established root-down, so an owned slot's
+        ancestors are owned too: the copy starts below the first owned
+        ancestor, not at the root.
+        """
+        stamp, parent, epoch = self.stamp, self.parent, self.epoch
+        if stamp[slot] == epoch:
             return slot
         chain = [slot]
-        current = int(self.parent[slot])
-        while current != _NIL:
-            chain.append(current)
-            current = int(self.parent[current])
-        owned = _NIL
+        owned = int(parent[slot])
+        while owned != _NIL and stamp[owned] != epoch:
+            chain.append(owned)
+            owned = int(parent[owned])
         for current in reversed(chain):
             owned = self._own_child(owned, current)
         return owned
@@ -1056,23 +1094,63 @@ class FlatOrderTree:
     # ------------------------------------------------------------------ #
 
     def set_weight(self, row_id: int, weight: int) -> None:
-        """Point weight update; ancestor subtotals fix up live-tree-up."""
-        slot = self.node_of[row_id]
-        delta = weight - int(self.weight[slot])
-        if delta == 0:
+        """Point weight update: the one-pair :meth:`set_weights`."""
+        self.set_weights(((row_id, weight),))
+
+    def set_weights(self, updates: Iterable[Tuple[int, int]]) -> None:
+        """Set many rows' weights in one pass.
+
+        ``updates`` holds ``(row_id, weight)`` pairs; a row listed twice
+        takes its last weight, and an unchanged weight is a no-op. Every
+        new weight and the new total are checked before anything is
+        mutated. Each changed row's frozen spine is then path-copied and
+        its weight written, and each subtotal on the union of the changed
+        rows' root paths is updated once, children first, by the whole
+        weight change below it — one pass for a run of adjacent rows
+        instead of one root walk per row.
+        """
+        node_of = self.node_of
+        changed = []
+        total = self.total
+        for row_id, weight in dict(updates).items():
+            delta = weight - int(self.weight[node_of[row_id]])
+            if delta:
+                changed.append((row_id, weight, delta))
+                total += delta
+        if not changed:
             return
-        if weight >= _WEIGHT_LIMIT:
-            raise FlatOverflowError("row weight exceeds the int64 flat limit")
-        slot = self._owned(slot)
-        self.weight[slot] = weight
-        parent, subtotal = self.parent, self.subtotal
-        current = slot
-        while current != _NIL:
-            subtotal[current] += delta
-            current = int(parent[current])
+        _check_fits([weight for __, weight, __d in changed], total)
+        marked = set()
+        # Per changed row: its weight change, its path up to the first
+        # marked ancestor, and that ancestor (_NIL past the root).
+        paths = []
+        for row_id, weight, delta in changed:
+            # No slab locals across _owned: its clones may _grow() them.
+            slot = self._owned(node_of[row_id])
+            self.weight[slot] = weight
+            parent = self.parent
+            path = []
+            while slot != _NIL and slot not in marked:
+                path.append(slot)
+                slot = int(parent[slot])
+            marked.update(path)
+            paths.append((delta, path, slot))
+        # A later path hangs below an earlier one, so reading the paths
+        # last-first, each bottom-up, reaches every slot after all of its
+        # marked descendants; ``carry`` holds what they pass up to it.
+        subtotals = self.subtotal
+        carry: Dict[int, int] = {}
+        for delta, path, above in reversed(paths):
+            for slot in path:
+                if carry:
+                    delta += carry.pop(slot, 0)
+                subtotals[slot] += delta
+            if above != _NIL:
+                carry[above] = carry.get(above, 0) + delta
 
     def insert_row(self, row: tuple, weight: int, multiplicity: int) -> int:
         """Insert a new row at its canonical position; returns its row id."""
+        _check_fits((weight,), self.total + weight)
         row_id = self._new_row(row, multiplicity)
         slot = self._new_slot(row_id, weight, _PRIORITIES.random())
         self.size += 1
@@ -1148,6 +1226,8 @@ class FlatOrderTree:
         k = len(entries)
         if k == 0:
             return []
+        weights = [entry[1] for entry in entries]
+        _check_fits(weights, self.total + sum(weights))
         n = self.size
         if n and k * (n + k).bit_length() <= n + k:
             return [

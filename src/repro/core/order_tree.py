@@ -13,8 +13,11 @@ weight sums, so that
 
 * ``insert_row`` places a new row at its canonical sort position in
   expected O(log n);
-* ``set_weight`` adjusts one row's weight (ancestor sums fix up along the
-  parent chain) in expected O(log n);
+* ``set_weights`` adjusts many rows' weights in one pass: each changed
+  row's spine is path-copied once, and each subtotal on the union of
+  their root paths is updated once, children first — expected
+  O(log n) for one row, and little more for a run of adjacent rows
+  (``set_weight`` is the one-row case);
 * :meth:`from_sorted` bulk-builds a perfectly balanced tree from
   canonically sorted input in O(n) — *including* the priorities: they are
   generated already descending (sequential uniform order statistics, see
@@ -63,13 +66,18 @@ snapshot readers (who navigate root-down and never read these fields):
 
 Handles churn under path copying: a clone replaces the original node in
 the live tree, so the owning bucket re-points its row → node map through
-the :attr:`OrderedWeightTree.on_clone` callback.
+the :attr:`OrderedWeightTree.on_clone` callback. Within one
+:meth:`OrderedWeightTree.set_weights` batch, copying an earlier row's
+spine may clone a later row's node, so the bucket resolves each handle
+through its map only when that handle is written.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.database.relation import row_sort_key
 
@@ -141,6 +149,8 @@ class OrderedWeightTree:
     :meth:`snapshot`, the write path copies the spine it touches (see the
     module notes). ``on_clone``, when set, is called with every clone so
     the owning bucket can re-point its row → node handle map.
+    :meth:`set_weights` re-weights a batch of rows with one subtotal
+    pass over the union of their root paths.
     """
 
     __slots__ = ("root", "size", "epoch", "on_clone")
@@ -320,16 +330,17 @@ class OrderedWeightTree:
         """An owned version of ``node``, path-copying its frozen spine.
 
         Ownership is always established root-down, so an owned node's
-        ancestors are owned too — the fast path is one stamp compare.
+        ancestors are owned too: the copy starts below the first owned
+        ancestor, not at the root.
         """
-        if node.stamp == self.epoch:
+        epoch = self.epoch
+        if node.stamp == epoch:
             return node
         chain = [node]
-        current = node.parent
-        while current is not None:
-            chain.append(current)
-            current = current.parent
-        owned: Optional[TreeRow] = None
+        owned = node.parent
+        while owned is not None and owned.stamp != epoch:
+            chain.append(owned)
+            owned = owned.parent
         for current in reversed(chain):
             owned = self._own_child(owned, current)
         return owned
@@ -339,23 +350,60 @@ class OrderedWeightTree:
     # ------------------------------------------------------------------ #
 
     def set_weight(self, node: TreeRow, weight: int) -> TreeRow:
-        """Set one row's weight; ancestor sums adjust along the parent chain.
+        """Set one row's weight: the one-pair :meth:`set_weights`.
 
         Returns the (possibly cloned) node carrying the new weight — under
         snapshot isolation the handle may change, and callers tracking
         handles must keep the returned one (``on_clone`` fires for every
         spine clone as well).
         """
-        delta = weight - node.weight
-        if delta == 0:
-            return node
-        node = self._owned(node)
-        node.weight = weight
-        current: Optional[TreeRow] = node
-        while current is not None:
-            current.subtotal += delta
-            current = current.parent
-        return node
+        return self.set_weights(((node, weight),))[0]
+
+    def set_weights(
+        self, updates: Iterable[Tuple[TreeRow, int]]
+    ) -> List[TreeRow]:
+        """Set many rows' weights in one pass; returns, per update, the
+        node carrying its weight (a clone when the node was frozen).
+
+        ``updates`` is consumed in order and each handle must be live
+        when it is drawn: copying an earlier row's spine may clone a
+        later row's node, so a caller that tracks handles through
+        ``on_clone`` passes a lazy iterable that looks each one up then.
+        An unchanged weight is a no-op. Each changed node's frozen spine
+        is path-copied and its weight written; then each subtotal on the
+        union of the changed nodes' root paths is updated once, children
+        first, by the whole weight change below it.
+        """
+        marked: Set[TreeRow] = set()
+        # Per changed node: its weight change, its path up to the first
+        # marked ancestor, and that ancestor (None past the root).
+        paths = []
+        written = []
+        for node, weight in updates:
+            delta = weight - node.weight
+            if delta:
+                node = self._owned(node)
+                node.weight = weight
+                path = []
+                current: Optional[TreeRow] = node
+                while current is not None and current not in marked:
+                    path.append(current)
+                    current = current.parent
+                marked.update(path)
+                paths.append((delta, path, current))
+            written.append(node)
+        # A later path hangs below an earlier one, so reading the paths
+        # last-first, each bottom-up, reaches every node after all of its
+        # marked descendants; ``carry`` holds what they pass up to it.
+        carry: Dict[TreeRow, int] = {}
+        for delta, path, above in reversed(paths):
+            for node in path:
+                if carry:
+                    delta += carry.pop(node, 0)
+                node.subtotal += delta
+            if above is not None:
+                carry[above] = carry.get(above, 0) + delta
+        return written
 
     def insert_row(self, row: tuple, weight: int, multiplicity: int) -> TreeRow:
         """Insert a new row at its canonical sort position (expected O(log)).

@@ -218,6 +218,25 @@ class TestUpdates:
         rid = tree.insert_row((1,), 1, 1)
         with pytest.raises(FlatOverflowError):
             tree.set_weight(rid, 2 ** 62)
+        # Each weight fits but the total does not: no build wraps int64.
+        big = 2 ** 62 - 1
+        with pytest.raises(FlatOverflowError):
+            FlatOrderTree.from_sorted([((i,), big, 1) for i in range(3)])
+        entries = [((0,), big - 10, 1), ((1,), 5, 1), ((2,), 3, 1)]
+        tree, row_ids = FlatOrderTree.from_sorted(entries)
+        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
+        frozen = tree.snapshot()
+        for attempt in (
+            lambda: tree.insert_row((3,), 20, 1),
+            lambda: tree.insert_sorted([((3,), 1, 1), ((4,), 19, 1)]),
+            lambda: tree.set_weights([(rank[(1,)], 4), (rank[(2,)], 15)]),
+            lambda: tree.set_weights([(rank[(0,)], 2 ** 62), (rank[(1,)], 0)]),
+        ):
+            with pytest.raises(FlatOverflowError):
+                attempt()
+            assert tree.total == big - 2
+            _check_against_reference(tree, rank, entries)
+            _frozen_reference(frozen, entries)
 
 
 def _frozen_reference(store, entries):
@@ -476,3 +495,32 @@ class TestBatchJson:
         for node in nodes:
             for table, encoded in zip(node.tables, node.encoded):
                 assert encoded.tolist() == [json.dumps(v) for v in table]
+
+
+class TestSignedZero:
+    """``0.0 == -0.0``, yet each is its own value: both stores serve the
+    row's own zero, through every read."""
+
+    def test_both_stores_serve_each_rows_own_zero(self):
+        database = Database([
+            Relation("R", ("a", "b"),
+                     [(0.0, 1), (-0.0, 2), (1, 3), (True, 4), (-0.0, 5)]),
+        ])
+        query = parse_cq("Q(a, b) :- R(a, b)")
+        flat = CQIndex(query, database, store="flat")
+        plain = CQIndex(query, database, store="tuple")
+        assert flat.store == "flat"
+        n = plain.count
+        # Repeats take the vectorized walk as well as the scalar one.
+        for asked in (list(range(n)), list(range(n)) * flat_store.VECTOR_MIN):
+            assert repr(flat.batch(asked)) == repr(plain.batch(asked))
+            assert flat.batch_json(asked) == plain.batch_json(asked)
+        served = json.loads(plain.batch_json(range(n)))
+        assert {json.dumps(a) for a, b in served if b in (2, 5)} == {"-0.0"}
+        assert {json.dumps(a) for a, b in served if b == 1} == {"0.0"}
+        for position, answer in enumerate(plain.batch(range(n))):
+            assert flat.inverted_access(answer) == position
+            assert plain.inverted_access(answer) == position
+            flipped = (-answer[0], answer[1])
+            assert flat.inverted_access(flipped) == \
+                plain.inverted_access(flipped)

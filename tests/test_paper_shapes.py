@@ -221,3 +221,59 @@ class TestTheorem55Mechanism:
         large_t, large_calls = self._worst_access(300)
         assert large_t >= 8 * small_t > 0
         assert large_calls == small_calls  # a binary search would add log₂ 8
+
+
+def _slab_depth(tree, slot=None) -> int:
+    """Height of a :class:`~repro.core.flat_store.FlatOrderTree`."""
+    slot = tree.root if slot is None else slot
+    if slot < 0:
+        return 0
+    return 1 + max(_slab_depth(tree, int(tree.left[slot])),
+                   _slab_depth(tree, int(tree.right[slot])))
+
+
+class TestTheorem43UpdateMechanism:
+    """Under updates, a row's weight is the product of its child bucket
+    totals, so one fact re-weights every parent row keyed into the
+    bucket it changes. On the ``durable_ingest`` shape (a 2-path rooted
+    at S, one S bucket) those rows form one run of the S treap. The
+    batch copies each changed row's frozen spine once and re-sums the
+    union of their root paths once: node visits grow with the rows plus
+    the depth, not with rows × depth."""
+
+    def test_single_fact_absorb_copies_each_spine_once(self, monkeypatch):
+        from repro import Database, DynamicCQIndex, Relation, parse_cq
+        from repro.core.flat_store import FlatOrderTree
+
+        keys, partners = 100, 50
+        db = Database([
+            Relation("R", ("a", "b"), [(a, a % keys) for a in range(1_000)]),
+            Relation("S", ("b", "c"),
+                     [(b, 1_000 + k) for b in range(keys) for k in range(partners)]),
+        ])
+        index = DynamicCQIndex(parse_cq("Q(a, b, c) :- R(a, b), S(b, c)"),
+                               db, store="flat")
+        (root,) = index._live_roots
+        assert root.columns == ("b", "c") and list(root.buckets) == [()]
+        s_bucket = root.buckets[()]
+        r_bucket = root.children[0].buckets[(7,)]
+        depth = _slab_depth(s_bucket.tree) + _slab_depth(r_bucket.tree)
+        before = dict(s_bucket.freeze().iter_rows())
+
+        tally = {"_own_child": 0, "_clone": 0}
+        for name in tally:
+            original = getattr(FlatOrderTree, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                tally[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(FlatOrderTree, name, counted)
+        index.insert("R", (5_000, 7))
+
+        after = dict(s_bucket.freeze().iter_rows())
+        reweighted = sum(1 for row, w in after.items() if before[row] != w)
+        assert reweighted == partners
+        assert index.count == (1_000 + 1) * partners
+        for name, calls in tally.items():
+            assert calls <= reweighted + 2 * depth, (name, calls, depth)
