@@ -12,6 +12,7 @@ biased, which :mod:`examples.online_aggregation` demonstrates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -139,40 +140,23 @@ def estimate_mean_via_index(
     sample_size: Optional[int] = None,
     rng=None,
     report_every: int = 1,
-    block_size: int = 256,
 ) -> Iterator[Estimate]:
     """Anytime estimates over an index's uniform sample, drawn batched.
 
-    Draws come in blocks of ``block_size`` positions — each block is one
-    vectorized :meth:`~repro.core.shuffle.LazyShuffle.take` plus one
-    amortized batch access, so the first estimate is available after one
-    block, not after the whole sample (the *anytime* contract), while the
-    per-answer cost keeps the batching win. The draw sequence is identical
-    (seeded rng included) to a
+    The sample is the first ``sample_size`` answers (all by default) of
+    ``index.random_order(rng)``, which resolves its positions one batch
+    per block: the first estimate comes after one answer, not after the
+    whole sample (the *anytime* contract), while the per-answer cost
+    keeps the batching win. The draw sequence is identical (seeded rng
+    included) to a
     :class:`~repro.core.permutation.RandomPermutationEnumerator` prefix.
     The population size is the index's O(1) count, enabling the
     finite-population correction. Prefer obtaining ``index`` from a
     :class:`~repro.service.QueryService` so repeated aggregations reuse
     one build.
     """
-    from repro.core.shuffle import LazyShuffle
-
-    if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
-    k = index.count if sample_size is None else min(sample_size, index.count)
-    shuffle = LazyShuffle(index.count, rng)
-
-    def blocks() -> Iterator[tuple]:
-        remaining = k
-        while remaining > 0:
-            positions = shuffle.take(min(block_size, remaining))
-            if not positions:
-                return
-            yield from index.batch(positions)
-            remaining -= len(positions)
-
     return estimate_mean(
-        blocks(),
+        itertools.islice(index.random_order(rng), sample_size),
         value_of,
         population=index.count,
         report_every=report_every,

@@ -668,6 +668,9 @@ class EngineServingMixin:
         """
         if not len(indices):
             return []
+        if len(indices) == 1:
+            # One position: the scalar walk costs less than batch set-up.
+            return [self.access(int(indices[0]))]
         self._check_bounds(indices)
         head = self.head_variables
         vectorized = vector_batch(self.roots, indices, head)
@@ -730,15 +733,18 @@ class EngineServingMixin:
         return self.batch(sample_positions(self.count, k, rng))
 
     def random_order(self, rng: Optional[random.Random] = None):
-        """REnum (Theorem 3.7): the answers in uniformly random order. Over
-        an immutable view the stream is immune to concurrent writes; over
-        a dynamic forest each draw reads its latest snapshot, so
+        """REnum (Theorem 3.7): the answers in uniformly random order,
+        resolved one batch per block
+        (:func:`~repro.core.permutation.blocked_random_order`, which states
+        the delay trade and how ``rng`` is kept in step). Over an
+        immutable view the stream is immune to concurrent writes; over a
+        dynamic forest each *block* reads its latest snapshot, so
         mutate-while-consuming has container-resize semantics — pin a
         snapshot instead.
         """
-        from repro.core.permutation import RandomPermutationEnumerator
+        from repro.core.permutation import blocked_random_order
 
-        return iter(RandomPermutationEnumerator(self, rng=rng))
+        return blocked_random_order(self, rng)
 
     def ensure_inverted_support(self) -> None:
         """Build what :meth:`inverted_access` needs (idempotent). A no-op

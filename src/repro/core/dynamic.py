@@ -404,7 +404,6 @@ class DynamicJoinForest(EngineServingMixin):
     ):
         self.reduced = reduced
         self.store = flat_store.resolve_store(store)
-        self._bucket_factory = _bucket_factory_for(self.store)
         self.head_variables: Tuple[str, ...] = tuple(reduced.head_variables)
         self.on_presence_change = on_presence_change
         self.compact_fraction = compact_fraction
@@ -412,6 +411,17 @@ class DynamicJoinForest(EngineServingMixin):
         #: Snapshot publications performed (also the version stamp of the
         #: latest :class:`IndexSnapshot`).
         self.publishes = 0
+        try:
+            self._load()
+        except flat_store.FlatOverflowError:
+            # Weights too large for int64 slabs: build again on the object
+            # treaps (python ints are unbounded), as the static index does.
+            self.store = "tuple"
+            self._load()
+
+    def _load(self) -> None:
+        """Build every node over :attr:`store`'s treap and publish."""
+        self._bucket_factory = _bucket_factory_for(self.store)
         #: Nodes in preorder; a node's index here is its shape position.
         self.nodes: List[_DynamicNode] = []
         self._by_atom: Dict[int, _DynamicNode] = {}
@@ -421,7 +431,7 @@ class DynamicJoinForest(EngineServingMixin):
         self._snapshot: Optional[IndexSnapshot] = None
         self._snapshot_nodes: Optional[List[Optional[_SnapshotNode]]] = None
         self._live_roots: List[_DynamicNode] = [
-            self._build(root, None) for root in reduced.roots
+            self._build(root, None) for root in self.reduced.roots
         ]
         self._publish()
 

@@ -12,6 +12,12 @@ probes; our index already exposes an O(1) count, but
 :func:`count_by_binary_search` implements (and the tests verify) the
 probing technique, since it is what makes Theorem 3.7 apply to *any*
 random-access structure with polynomially many answers.
+
+:class:`RandomPermutationEnumerator` is the theorem's scalar form: one
+``access`` per answer, so every delay is one access.
+:func:`blocked_random_order` yields the same permutation from the same
+randomness but resolves it one ``batch`` per block of positions; it is what
+every index's ``random_order`` returns.
 """
 
 from __future__ import annotations
@@ -99,3 +105,65 @@ class RandomPermutationEnumerator:
 def random_order(index, rng: Optional[random.Random] = None) -> Iterator[tuple]:
     """Functional wrapper: iterate ``index``'s answers in random order."""
     return iter(RandomPermutationEnumerator(index, rng=rng))
+
+
+#: The most positions :func:`blocked_random_order` resolves in one batch.
+BLOCK_CAP = 4096
+
+
+def blocked_random_order(view, rng: Optional[random.Random] = None) -> Iterator[tuple]:
+    """REnum (Theorem 3.7) in blocks: ``view``'s answers in uniformly
+    random order, one ``view.batch`` per block of shuffle positions.
+
+    Element for element the stream of
+    ``RandomPermutationEnumerator(view, rng)``. Blocks take 1, 2, 4, …
+    positions, up to :data:`BLOCK_CAP`, and the last ends exactly at the
+    ``count`` read when the stream is made. Over a live dynamic index
+    each block reads that block's latest snapshot.
+
+    *Delay.* The amortized delay stays O(log n) per answer, and a batch
+    shares descents, so it is cheaper than an access each. The worst-case
+    delay becomes one block, O(:data:`BLOCK_CAP` · log n). The first
+    answer is a one-position block, which costs about one access;
+    :class:`RandomPermutationEnumerator` keeps the per-answer bound.
+
+    *The caller's rng stays in step.* The first position is drawn on
+    ``rng``. Later blocks are drawn ahead on a private copy of it, and
+    each answer handed out makes the same ``randrange(i, n)`` draw on
+    ``rng`` itself. After ``k`` answers, ``rng`` is in exactly the state
+    ``k`` scalar draws (or ``view.sample_many(k, rng)``) leave. If the
+    caller draws from ``rng`` between answers, the stream is still a
+    uniform permutation, but no longer the scalar one.
+    """
+    return _blocks(view, view.count, rng)
+
+
+def _blocks(view, n: int, rng: Optional[random.Random]) -> Iterator[tuple]:
+    if n == 0:
+        return
+    shuffle = LazyShuffle(n, rng)
+    # A one-position block needs no lookahead: draw it on the caller's rng
+    # and copy the rng only when a longer block is wanted.
+    yield view.batch(shuffle.take(1))[0]
+    step = None  # the caller's draw per answer handed out, if kept in step
+    if rng is not None:
+        try:
+            state = rng.getstate()
+        except NotImplementedError:  # SystemRandom: no state to keep in step
+            pass
+        else:
+            shuffle.rng = type(rng).__new__(type(rng))
+            shuffle.rng.setstate(state)
+            step = rng.randrange
+    i, size = 1, 2
+    while i < n:
+        answers = view.batch(shuffle.take(size))
+        size = min(2 * size, BLOCK_CAP)
+        if step is None:
+            i += len(answers)
+            yield from answers
+            continue
+        for answer in answers:
+            step(i, n)
+            i += 1
+            yield answer

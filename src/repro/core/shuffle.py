@@ -44,7 +44,9 @@ class LazyShuffle:
         if n < 0:
             raise ValueError(f"cannot permute a negative number of items: {n}")
         self.n = n
-        self._rng = rng if rng is not None else random.Random()
+        #: The generator the next draws come from; it may be rebound
+        #: between draws.
+        self.rng = rng if rng is not None else random.Random()
         # The lazy array: cells absent from the table are "uninitialized"
         # and conceptually hold their own index.
         self._cells: Dict[int, int] = {}
@@ -61,7 +63,7 @@ class LazyShuffle:
         i = self._i
         if i >= self.n:
             raise StopIteration
-        j = self._rng.randrange(i, self.n)
+        j = self.rng.randrange(i, self.n)
         cells = self._cells
         value_i = cells.get(i, i)
         value_j = cells.get(j, j)
@@ -87,7 +89,7 @@ class LazyShuffle:
         if k < 0:
             raise ValueError(f"cannot take a negative number of elements: {k}")
         cells = self._cells
-        randrange = self._rng.randrange
+        randrange = self.rng.randrange
         n = self.n
         i = self._i
         out: List[int] = []

@@ -55,7 +55,7 @@ from repro.query.ucq import UnionOfConjunctiveQueries
 from repro.core.cq_index import CQIndex
 from repro.core.errors import IncompatibleUnionError, OutOfBoundError
 from repro.core.reduction import ReducedJoin, ReducedNode, reduce_to_full_acyclic
-from repro.core.permutation import RandomPermutationEnumerator
+from repro.core.permutation import blocked_random_order
 from repro.core.shuffle import sample_positions
 
 #: Guard against the 2^m intersection-index blow-up of Lemma A.2.
@@ -399,10 +399,14 @@ class UnionServingMixin:
     def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
         """REnum(mcUCQ): a uniformly random permutation of the union.
 
-        Fisher–Yates (Algorithm 1) over :meth:`access` — guaranteed (not
-        just expected) polylogarithmic delay.
+        Fisher–Yates (Algorithm 1) over :meth:`batch`, one batch per block
+        (:func:`~repro.core.permutation.blocked_random_order`): guaranteed
+        (not just expected) polylogarithmic amortized delay, and one block
+        in the worst case. A
+        :class:`~repro.core.permutation.RandomPermutationEnumerator` over this
+        index is the form with one :meth:`access` per answer.
         """
-        return iter(RandomPermutationEnumerator(self, rng=rng))
+        return blocked_random_order(self, rng)
 
     def __iter__(self) -> Iterator[tuple]:
         """Enumerate in the union's order (Algorithm 6)."""

@@ -242,7 +242,9 @@ def run_mcucq(
     rng: Optional[random.Random] = None,
     record_delays: bool = False,
 ) -> EnumerationRun:
-    """REnum(mcUCQ) — Fisher–Yates over Theorem 5.5's union random access."""
+    """REnum(mcUCQ) — Fisher–Yates over Theorem 5.5's union random access,
+    one ``access`` per answer like :func:`run_renum_cq`, so the two time
+    the same per-answer delay."""
     rng = rng if rng is not None else random.Random()
     started = time.perf_counter()
     index = MCUCQIndex(ucq, database)
@@ -253,8 +255,8 @@ def run_mcucq(
         t_index.ensure_inverted_support()
     preprocessing = time.perf_counter() - started
     k = max(1, int(index.count * fraction)) if index.count else 0
-    iterator = index.random_order(rng)
-    enumeration, emitted, delays = _drain(iterator, k, record_delays)
+    enumerator = RandomPermutationEnumerator(index, rng=rng)
+    enumeration, emitted, delays = _drain(enumerator, k, record_delays)
     return EnumerationRun(
         label=f"REnum(mcUCQ) {ucq.name}",
         preprocessing_seconds=preprocessing,

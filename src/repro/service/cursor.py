@@ -314,7 +314,9 @@ class Cursor:
         self._view().ensure_inverted_support()
 
     def random_order(self, rng: Optional[random.Random] = None) -> Iterator[tuple]:
-        """REnum: every answer in uniformly random order.
+        """REnum: every answer in uniformly random order, resolved one
+        batch per block with ``rng`` kept in step
+        (:func:`~repro.core.permutation.blocked_random_order`).
 
         The stream enumerates the snapshot pinned when it started, so
         concurrent writes cannot corrupt an in-flight shuffle — mutate

@@ -742,7 +742,8 @@ class QueryService:
           the same view for the new version;
         * an update-capable index (``supports_updates``) absorbs the batch
           — one ``apply_delta`` — and the slot publishes its new snapshot
-          for the new version;
+          for the new version; a flat index whose weights outgrow int64
+          in the pass is dropped instead, and the next read rebuilds it;
         * any other slot over a touched relation is dropped, and its
           query key's churn counter bumped — the promotion pressure that
           eventually flips a hot query to the dynamic path.
@@ -773,7 +774,14 @@ class QueryService:
                 self._carried_forward += 1
                 continue
             if getattr(slot.index, "supports_updates", False):
-                slot.index.apply_delta(effective)
+                try:
+                    slot.index.apply_delta(effective)
+                except flat_store.FlatOverflowError:
+                    # A weight outgrew the flat slabs mid-pass and left the
+                    # live forest half-applied: drop it. The next read
+                    # rebuilds, and the build falls back to tuple.
+                    self._cache.discard(query_key)
+                    continue
                 slot.publish(new_version)
                 if single:
                     self._in_place_updates += 1

@@ -104,6 +104,22 @@ class TestHarness:
         run = run_mcucq(make_qa_qe(), tiny_tpch, fraction=0.2, rng=random.Random(0))
         assert run.completed
 
+    def test_run_mcucq_times_one_access_per_answer(self, tiny_tpch, monkeypatch):
+        """Like REnum(CQ), REnum(mcUCQ) is timed one union access per
+        answer, so Figure 4 compares per-answer delays."""
+        from repro import MCUCQIndex
+
+        accesses = []
+        access = MCUCQIndex.access
+        monkeypatch.setattr(
+            MCUCQIndex, "access",
+            lambda index, position: accesses.append(position) or access(index, position),
+        )
+        run = run_mcucq(make_qa_qe(), tiny_tpch, fraction=0.2, rng=random.Random(0),
+                        record_delays=True)
+        assert run.completed and run.answers > 1
+        assert len(run.delays) == run.answers == len(accesses)
+
     def test_run_cumulative(self, tiny_tpch):
         run = run_cumulative_renum_cq(make_qa_qe(), tiny_tpch, rng=random.Random(0))
         assert run.answers == run.requested

@@ -524,3 +524,57 @@ class TestSignedZero:
             flipped = (-answer[0], answer[1])
             assert flat.inverted_access(flipped) == \
                 plain.inverted_access(flipped)
+
+
+#: A 7-way star: one hub, ``partners[c]`` partners for child ``c``. At 600
+#: partners per child it has 600⁷ answers, past the flat store's 2⁶².
+STAR = "Q(x, " + ", ".join(f"y{c}" for c in range(7)) + ") :- H(x), " + \
+    ", ".join(f"R{c}(x, y{c})" for c in range(7))
+
+
+def _star(partners) -> Database:
+    return Database([Relation("H", ("x",), [(0,)])] + [
+        Relation(f"R{c}", ("x", "y"), [(0, y) for y in range(count)])
+        for c, count in enumerate(partners)
+    ])
+
+
+def _serves_the_star(view, count) -> None:
+    assert view.count == count
+    rng = random.Random(7)
+    for position in [0, count - 1] + [rng.randrange(count) for __ in range(20)]:
+        assert view.position_of(view.get(position)) == position
+
+
+class TestOverflowFallback:
+    """Weights past int64 put a flat index back on the tuple store, as
+    the static build does, for a dynamic build and for a dynamic write."""
+
+    def test_dynamic_build_falls_back_to_tuple(self):
+        from repro import DynamicCQIndex, QueryService
+
+        database = _star([600] * 7)
+        dynamic = DynamicCQIndex(parse_cq(STAR), database, store="flat")
+        assert dynamic.store == "tuple"
+        assert dynamic.count == 600 ** 7
+        assert dynamic.snapshot.store == "tuple"
+        _serves_the_star(
+            QueryService(database, store="flat", dynamic=True).cursor(STAR),
+            600 ** 7,
+        )
+
+    def test_dynamic_write_past_int64_is_rebuilt_on_read(self):
+        from repro import QueryService
+
+        service = QueryService(_star([600] + [1] * 6), store="flat", dynamic=True)
+        cursor = service.cursor(STAR)
+        assert cursor.count == 600 and service.index(STAR).store == "flat"
+        version = service.database.version
+        # Durable once applied: the batch succeeds although the flat index
+        # cannot absorb it.
+        applied = service.apply([
+            ("insert", f"R{c}", (0, y)) for c in range(1, 7) for y in range(1, 600)
+        ])
+        assert applied.version == service.database.version == version + 1
+        _serves_the_star(cursor, 600 ** 7)
+        assert service.index(STAR).store == "tuple"

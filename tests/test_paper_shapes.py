@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro import CQIndex, UnionRandomEnumerator
+from repro import CQIndex, MCUCQIndex, UnionRandomEnumerator
+from repro.core import permutation
 from repro.database.joins import evaluate_cq
 from repro.sampling import ExactWeightSampler, WithoutReplacementSampler
 from repro.tpch.queries import CQ_QUERIES, UCQ_QUERIES
@@ -59,6 +60,37 @@ class TestFigure1Mechanism:
                 draws_at.append(stream.draws)
         per_decile = [b - a for a, b in zip(draws_at, draws_at[1:])]
         assert per_decile[-1] > 2 * per_decile[0]
+
+
+class TestTheorem37BlockedWork:
+    """REnum in blocks (``random_order``) resolves each shuffle position
+    once and runs at most one block ahead of the answers handed out —
+    the delay trade, counted in resolved positions rather than timed."""
+
+    @pytest.mark.parametrize("cap", [16, permutation.BLOCK_CAP])
+    @pytest.mark.parametrize("make", [
+        lambda db: CQIndex(CQ_QUERIES["Q3"](), db),
+        lambda db: MCUCQIndex(UCQ_QUERIES["QA_or_QE"](), db),
+    ], ids=["cq", "mcucq"])
+    def test_positions_resolved_per_answer(self, tiny_tpch, make, cap, monkeypatch):
+        monkeypatch.setattr(permutation, "BLOCK_CAP", cap)
+        index = make(tiny_tpch)
+        n = index.count
+        assert n > 4 * 16
+        blocks = []
+        batch = index.batch
+        monkeypatch.setattr(
+            index, "batch", lambda positions: blocks.append(len(positions)) or batch(positions)
+        )
+        stream = index.random_order(random.Random(0))
+        next(stream)
+        assert sum(blocks) == 1
+        for k in range(2, n + 1):
+            next(stream)
+            assert sum(blocks) <= min(2 * k + 1, k + cap)
+        assert next(stream, None) is None
+        assert sum(blocks) == n
+        assert len(blocks) <= math.ceil(math.log2(cap)) + math.ceil(n / cap) + 1
 
 
 class TestFigure4Mechanism:

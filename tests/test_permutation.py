@@ -75,6 +75,12 @@ class TestRandomPermutation:
         out = list(RandomPermutationEnumerator(AccessOnly(small_index), rng=random.Random(1)))
         assert sorted(out) == sorted(small_index)
 
+    def test_block_stream_takes_a_stateless_rng(self, small_index):
+        """``SystemRandom`` has no state to copy or keep in step; the block
+        stream then draws on it directly."""
+        out = list(small_index.random_order(random.SystemRandom()))
+        assert sorted(out) == sorted(small_index)
+
     def test_permutation_uniformity(self, small_index):
         """All 4! orderings of the 4 answers should be equally likely."""
         trials = 12_000
