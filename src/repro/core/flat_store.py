@@ -31,13 +31,25 @@ environment variable when the argument is ``None``) to one of
 are always available; ``"tuple"`` stays the default because its scalar
 reads are faster.
 
+Static build
+------------
+:func:`build_flat_forest` runs Algorithm 2 as one numpy pass per node,
+children first, with no tuple bucket made on the way. Columns are
+interned (``np.unique`` for exact ints in int64, :class:`_ColumnInterner`
+otherwise) and ranked densely by ``value_sort_key``; rows are grouped by
+python equality of their key tuples, one dict lookup per distinct
+combination of ids, and sorted by one stable ``np.lexsort`` on (bucket,
+ranks), so ties keep relation order as ``list.sort`` does. A NaN leaves
+no total order: its node sorts each bucket by ``row_sort_key`` instead.
+
 Value interning
 ---------------
 Column values are interned per node column into ``id → value`` tables
 keyed by ``(type, value)`` — so ``1``, ``1.0`` and ``True`` (equal, and
 hash-equal, as dict keys) keep distinct ids and round-trip exactly, like
 they do through the tuple stores. A float zero keys by its sign too, so
-``0.0`` and ``-0.0`` each serve as themselves.
+``0.0`` and ``-0.0`` each serve as themselves. Each table holds the rows'
+own value objects, not copies.
 
 Encoded tables
 --------------
@@ -68,7 +80,8 @@ adjusted in place, both invisible to root-down snapshot readers.
 
 All flat weights live in int64: a forest whose count (or any per-node
 cumulative weight) reaches 2⁶² falls back to the tuple store at build
-time rather than risking overflow. A slab treap refuses, with
+time rather than risking overflow; the check is exact integer
+arithmetic, never an estimate. A slab treap refuses, with
 :class:`FlatOverflowError` and before it mutates anything, any build,
 insert or weight update whose bucket total would reach 2⁶²; every
 subtotal is at most the total, so that one check bounds them all.
@@ -85,7 +98,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.database.relation import row_sort_key
+from repro.database.relation import row_sort_key, value_sort_key
 from repro.core.order_tree import _PRIORITIES, _descending_priorities
 
 #: The recognized ``store=`` backend names.
@@ -472,109 +485,180 @@ def _check_fits(weights: Sequence[int], total: int) -> None:
         raise FlatOverflowError("bucket total exceeds the int64 flat limit")
 
 
-def validate_forest_fits(roots: Sequence) -> bool:
-    """Can every node's cumulative bucket weight live in int64 arrays?"""
-    def node_fits(node) -> bool:
-        total = sum(bucket.total for bucket in node.buckets.values())
-        if total >= _WEIGHT_LIMIT:
-            return False
-        return all(node_fits(child) for child in node.children)
-
-    return all(node_fits(root) for root in roots)
-
-
-def columnarize_forest(roots: Sequence) -> None:
-    """Convert a built tuple forest to columnar storage, in place.
-
-    Children first (parents need the children's flat bucket bases):
-    every node gains a ``flat`` :class:`FlatNode` and its bucket dict's
-    values become :class:`FlatBucketStore` views. Raises
-    :class:`FlatOverflowError` *before touching anything* when any
-    cumulative weight would not fit int64.
+def build_flat_forest(roots: Sequence, sort_buckets: bool = True) -> None:
+    """Build every node's :class:`FlatNode` and :class:`FlatBucketStore`
+    views in place, children first, straight from the reduced relations
+    (see "Static build" above): the tuple build's buckets, rows and
+    weights, in its order. Raises :class:`FlatOverflowError` at the int64
+    limit, leaving the nodes half built: start over on fresh ones.
     """
-    if not validate_forest_fits(roots):
-        raise FlatOverflowError("forest weights exceed the int64 flat limit")
     for root in roots:
-        _columnarize_node(root)
+        _build_flat_node(root, sort_buckets)
 
 
-def _columnarize_node(node) -> None:
+def _build_flat_node(node, sort_buckets: bool) -> None:
     for child in node.children:
-        _columnarize_node(child)
+        _build_flat_node(child, sort_buckets)
 
-    columns = node.columns
-    items = list(node.buckets.items())
-    n_rows = sum(len(bucket.rows) for __, bucket in items)
-    n_children = len(node.children)
+    rows = node.relation.rows
+    n = len(rows)
+    columns = [
+        _intern_column(values, sort_buckets)
+        for values in (list(zip(*rows)) or [() for __ in node.columns])
+    ]
+    ids = [column_ids for __, column_ids, __ in columns]
 
-    interners = [_ColumnInterner() for __ in columns]
-    ids: List[List[int]] = [[] for __ in columns]
-    row_start: List[int] = []
-    weights: List[int] = []
-    child_suffix: List[List[int]] = [[] for __ in range(n_children)]
-    child_base: List[List[int]] = [[] for __ in range(n_children)]
-    bucket_base: Dict[tuple, Tuple[int, int]] = {}
-    spans: List[Tuple[tuple, int, int, int, int]] = []
+    # Buckets group rows whose key tuples are equal as python values (so
+    # 1, 1.0 and True share one), numbered in order of first occurrence.
+    groups: Dict[tuple, int] = {}
+    bucket = _lookup_rows(rows, ids, node.parent_key_positions,
+                          lambda key: groups.setdefault(key, len(groups)))
 
-    base = 0
-    lo = 0
-    for key, bucket in items:
-        bucket_base[key] = (base, lo)
-        for row, weight, start in zip(bucket.rows, bucket.weights, bucket.start):
-            for c, value in enumerate(row):
-                ids[c].append(interners[c].id_of(value))
-            row_start.append(base + start)
-            weights.append(weight)
-            if weight == 0:
-                # Dangling: never located, the walk never reads these.
-                for i in range(n_children):
-                    child_suffix[i].append(1)
-                    child_base[i].append(0)
-            else:
-                totals = []
-                for i, child in enumerate(node.children):
-                    child_key = node.child_bucket_key(row, i)
-                    child_bucket = child.buckets[child_key]
-                    totals.append(child_bucket.total)
-                    child_base[i].append(child.flat.bucket_base[child_key][0])
-                suffix = 1
-                suffixes = [1] * n_children
-                for i in range(n_children - 1, -1, -1):
-                    suffixes[i] = suffix
-                    suffix *= totals[i]
-                for i in range(n_children):
-                    child_suffix[i].append(suffixes[i])
-        hi = lo + len(bucket.rows)
-        spans.append((key, lo, hi, base, bucket.total))
-        base += bucket.total
-        lo = hi
+    # Each row's child buckets: a missing one (or an empty one) leaves
+    # the row dangling, with weight 0.
+    alive = _np.ones(n, dtype=bool)
+    totals, bases = [], []
+    for child, positions in zip(node.children, node.child_key_positions):
+        number = {key: i for i, key in enumerate(child.buckets)}
+        which = _lookup_rows(rows, ids, positions,
+                             lambda key: number.get(key, -1))
+        views = list(child.buckets.values())
+        total = _np.array([v.total for v in views] + [0], dtype=_np.int64)[which]
+        alive &= total > 0
+        totals.append(total)
+        bases.append(_np.array([v.base for v in views] + [0], dtype=_np.int64)[which])
+
+    # weight = Π child totals. Multiplying from the last child, the
+    # running product is each child's mixed-radix suffix; every factor of
+    # a live row is ≥ 1, so checking each step bounds the weight exactly.
+    weights = _np.ones(n, dtype=_np.int64)
+    suffixes = []
+    for total in reversed(totals):
+        suffixes.append(weights.copy())
+        factor = _np.where(alive, total, 1)
+        if (weights > (_WEIGHT_LIMIT - 1) // factor).any():
+            raise FlatOverflowError("row weight exceeds the int64 flat limit")
+        weights *= factor
+    suffixes.reverse()
+    weights[~alive] = 0
+
+    # Both array sorts are stable: ties keep relation order, as list.sort.
+    if not sort_buckets:
+        order = _np.argsort(bucket, kind="stable")
+    elif all(ranks is not None for __, __, ranks in columns):
+        order = _np.lexsort(
+            [ranks for __, __, ranks in reversed(columns)] + [bucket]
+        )
+    else:
+        order = _sorted_buckets(rows, bucket, len(groups))
+    bucket = bucket[order]
+    weights = weights[order]
+    ends = _np.cumsum(weights)
+    # Each weight is under the limit, so the prefix sums that first reach
+    # it are still exact: the check is exact too.
+    if n and int(ends.max()) >= _WEIGHT_LIMIT:
+        raise FlatOverflowError("node weight exceeds the int64 flat limit")
+    row_start = ends - weights
+    numbered = _np.arange(len(groups))
+    lo = _np.searchsorted(bucket, numbered)
+    hi = _np.searchsorted(bucket, numbered, side="right")
+    base = row_start[lo]
+    spans = list(zip(groups, lo.tolist(), hi.tolist(), base.tolist(),
+                     (ends[hi - 1] - base).tolist()))
 
     flat = FlatNode(
-        columns=columns,
+        columns=node.columns,
         children=[child.flat for child in node.children],
-        tables=[_object_array(interner.table) for interner in interners],
-        ids=[_np.array(column, dtype=_np.int64) for column in ids],
-        row_start=_np.array(row_start, dtype=_np.int64),
-        weights=_np.array(weights, dtype=_np.int64),
-        child_suffix=[
-            _np.array(column, dtype=_np.int64) for column in child_suffix
-        ],
-        child_base=[_np.array(column, dtype=_np.int64) for column in child_base],
-        bucket_base=bucket_base,
+        tables=[_object_array(table) for table, __, __ in columns],
+        ids=[column_ids[order] for column_ids in ids],
+        row_start=row_start,
+        weights=weights,
+        child_suffix=[suffix[order] for suffix in suffixes],
+        child_base=[_np.where(alive, b, 0)[order] for b in bases],
+        bucket_base={key: (b, l) for key, l, __, b, __ in spans},
     )
     node.flat = flat
-    node.buckets = {
-        key: FlatBucketStore(flat, lo, hi, b, total)
-        for key, lo, hi, b, total in spans
+    node.buckets = bucket_views(flat, spans)
+
+
+def bucket_views(
+    flat: FlatNode, spans: Iterable[tuple]
+) -> Dict[tuple, FlatBucketStore]:
+    """A node's ``key → FlatBucketStore`` dict from its bucket spans,
+    ``(key, lo, hi, base, total)`` each."""
+    return {
+        key: FlatBucketStore(flat, lo, hi, base, total)
+        for key, lo, hi, base, total in spans
     }
-    assert n_rows == len(row_start)
+
+
+def _intern_column(values: Sequence[object], rank: bool):
+    """``(table, ids, ranks)`` of one column: each distinct value once (the
+    rows' own object), each row's slot in that table, and each row's dense
+    rank in ``value_sort_key`` order — ``None`` unless ``rank``, or when
+    a NaN leaves that order partial (``list.sort`` then depends on the
+    input sequence)."""
+    if values and set(map(type, values)) == {int}:
+        try:
+            __, first, ids = _np.unique(_np.array(values, dtype=_np.int64),
+                                        return_index=True, return_inverse=True)
+        except OverflowError:
+            pass
+        else:  # sorted distinct ints: the ids are the dense ranks already
+            return [values[row] for row in first.tolist()], ids, ids
+    interner = _ColumnInterner()
+    ids = _np.fromiter(
+        map(interner.id_of, values), dtype=_np.int64, count=len(values)
+    )
+    table = interner.table
+    if not rank or any(value != value for value in table):
+        return table, ids, None
+    keys = [value_sort_key(value) for value in table]
+    try:
+        # Equal keys (1, 1.0 and True) are one set member: one rank.
+        ranked = {key: r for r, key in enumerate(sorted(set(keys)))}
+    except TypeError:
+        return table, ids, None
+    return table, ids, _np.array([ranked[key] for key in keys], dtype=_np.int64)[ids]
+
+
+def _lookup_rows(rows: Sequence[tuple], ids, positions: Sequence[int], lookup):
+    """``lookup(key)`` of each row's key tuple (its values at
+    ``positions``) as an int64 array, calling ``lookup`` once per distinct
+    combination of the rows' value ids, in order of first occurrence."""
+    n = len(rows)
+    combination, first = _np.zeros(n, dtype=_np.int64), [0] if n else []
+    if positions and n:
+        combined = ids[positions[0]]
+        for p in positions[1:]:
+            __, combined = _np.unique(
+                combined * (int(ids[p].max()) + 1) + ids[p], return_inverse=True
+            )
+        __, firsts, inverse = _np.unique(
+            combined, return_index=True, return_inverse=True
+        )
+        by_first = _np.argsort(firsts)
+        renumber = _np.empty_like(by_first)
+        renumber[by_first] = _np.arange(len(firsts))
+        combination, first = renumber[inverse], firsts[by_first].tolist()
+    found = [lookup(tuple(rows[row][p] for p in positions)) for row in first]
+    return _np.array(found, dtype=_np.int64)[combination]
+
+
+def _sorted_buckets(rows: Sequence[tuple], bucket, n_buckets: int):
+    """The tuple build's row order where ranks cannot give it: each
+    bucket's rows, in relation order, sorted by ``row_sort_key``."""
+    members: List[List[int]] = [[] for __ in range(n_buckets)]
+    for row, number in enumerate(bucket.tolist()):
+        members[number].append(row)
+    return _np.array([
+        row for positions in members
+        for row in sorted(positions, key=lambda row: row_sort_key(rows[row]))
+    ], dtype=_np.int64)
 
 
 def _object_array(values: Sequence[object]):
-    array = _np.empty(len(values), dtype=object)
-    for position, value in enumerate(values):
-        array[position] = value
-    return array
+    return _np.fromiter(values, dtype=object, count=len(values))
 
 
 def _detached(array):

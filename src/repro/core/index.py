@@ -12,9 +12,16 @@ A query whose reduced join has several connected components gets one tree
 per component; the global index is split/combined across the roots exactly
 like across children of a single node.
 
+Algorithm 2 is realized twice, with one result: in python here
+(:meth:`JoinForestIndex._build`, the ``tuple`` store: dict grouping and a
+``row_sort_key`` sort per bucket), and as one numpy pass per node in
+:func:`repro.core.flat_store.build_flat_forest` (the ``flat`` store: no
+:class:`_Bucket` is made). A flat forest whose weights would not fit
+int64 is built here instead.
+
 This module contributes the *static* bucket store — plain prefix-sum
 arrays resolved by binary search, the exact ``startIndex`` layout of
-Algorithm 2 — and the preprocessing that fills it. The walks over it
+Algorithm 2 — and the python preprocessing that fills it. The walks over it
 (Algorithm 3's random access, Algorithm 4's inverted access, enumeration
 and the order rank) live in :mod:`repro.core.access_engine`, and
 :class:`~repro.core.cq_index.CQIndex` serves them through
@@ -150,7 +157,7 @@ class _IndexNode:
             )
         self.buckets: Dict[tuple, _Bucket] = {}
         # Columnar arrays (repro.core.flat_store.FlatNode) when this node
-        # was converted to the flat store; None on the tuple backend.
+        # was built on the flat store; None on the tuple backend.
         self.flat = None
 
     def bucket_key_of_row(self, row: tuple) -> tuple:
@@ -186,15 +193,17 @@ class JoinForestIndex:
         self.sort_buckets = sort_buckets
         self.store = flat_store.resolve_store(store)
         self.roots: List[_IndexNode] = [_IndexNode(r, None) for r in reduced.roots]
-        for root in self.roots:
-            self._build(root)
         if self.store == "flat":
             try:
-                flat_store.columnarize_forest(self.roots)
+                flat_store.build_flat_forest(self.roots, sort_buckets)
             except flat_store.FlatOverflowError:
-                # Weights too large for int64 arrays — the tuple buckets
-                # built above keep serving (python ints are unbounded).
+                # Weights too large for int64 arrays: build tuple buckets
+                # on fresh nodes instead (python ints are unbounded).
                 self.store = "tuple"
+                self.roots = [_IndexNode(r, None) for r in reduced.roots]
+        if self.store == "tuple":
+            for root in self.roots:
+                self._build(root)
         self.count = access_engine.forest_count(self.roots)
         self._inverted_ready = False
 

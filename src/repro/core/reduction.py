@@ -104,8 +104,16 @@ def prepare_query(query: ConjunctiveQuery, database: Database) -> PreparedQuery:
                     return False
             return True
 
-        rows = (tuple(row[p] for p in out_positions) for row in base.rows if keep(row))
-        relation = Relation(f"{atom.relation}@{position}", variables, rows)
+        name = f"{atom.relation}@{position}"
+        if checks or equalities:
+            rows = (tuple(row[p] for p in out_positions) for row in base.rows if keep(row))
+            relation = Relation(name, variables, rows)
+        else:
+            # Distinct variables and no constants: a projection onto every
+            # column, which keeps distinct rows distinct (no dedup scan).
+            relation = base.project(
+                [base.columns[p] for p in out_positions], name
+            ).rename(columns=variables)
         prepared.append(PreparedAtom(atom=atom, variables=tuple(variables), relation=relation))
     return PreparedQuery(query=query, atoms=prepared)
 

@@ -126,13 +126,15 @@ class Relation:
         )
 
     def project(self, columns: Sequence[str], name: str = None) -> "Relation":
-        """Projection ``π_columns`` with duplicate elimination."""
+        """Projection ``π_columns`` with duplicate elimination — none is
+        needed onto every column, in any order."""
         positions = self.positions_of(columns)
-        return Relation(
-            name or self.name,
-            columns,
-            (tuple(row[p] for p in positions) for row in self.rows),
-        )
+        if positions == tuple(range(self.arity)):
+            return Relation.copy_from(name or self.name, columns, self.rows)
+        rows = (tuple(row[p] for p in positions) for row in self.rows)
+        if sorted(positions) == list(range(self.arity)):
+            return Relation.copy_from(name or self.name, columns, rows)
+        return Relation(name or self.name, columns, rows)
 
     def rename(self, name: str = None, columns: Sequence[str] = None) -> "Relation":
         """A copy with a new name and/or column names (same rows)."""

@@ -15,9 +15,10 @@ by ``repro.core.reduction``). Semijoins match on shared column names.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, List, Sequence
 
-from repro.database.indexes import HashIndex
 from repro.database.relation import Relation
 from repro.query.acyclicity import JoinTree, JoinTreeNode
 
@@ -35,14 +36,16 @@ def semijoin(left: Relation, right: Relation) -> Relation:
         if len(right) == 0:
             return Relation.copy_from(left.name, left.columns, [])
         return left
-    right_keys = set(HashIndex(right, shared).keys())
-    positions = left.positions_of(shared)
+    # itemgetter makes each key in C: a value for one shared column, a
+    # tuple for more, the same on both sides.
+    right_keys = set(map(itemgetter(*right.positions_of(shared)), right.rows))
+    keys = map(itemgetter(*left.positions_of(shared)), left.rows)
     # A semijoin keeps a subset of already-distinct rows, so the dedup scan
     # of Relation.__init__ is pure overhead on this hot path.
     return Relation.copy_from(
         left.name,
         left.columns,
-        (row for row in left.rows if tuple(row[p] for p in positions) in right_keys),
+        compress(left.rows, map(right_keys.__contains__, keys)),
     )
 
 

@@ -192,7 +192,7 @@ def load_serve_entry(directory: pathlib.Path) -> Tuple[tuple, object]:
     """
     from repro.core.cq_index import CQIndex
     from repro.core.index import JoinForestIndex, _IndexNode
-    from repro.core.flat_store import FlatBucketStore, FlatNode
+    from repro.core.flat_store import FlatNode, bucket_views
 
     faults.inject(FP_LOAD)
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
@@ -239,10 +239,7 @@ def load_serve_entry(directory: pathlib.Path) -> Tuple[tuple, object]:
             tuple(positions) for positions in record["child_key_positions"]
         ]
         node.flat = flat
-        node.buckets = {
-            key: FlatBucketStore(flat, lo, hi, base, total)
-            for key, lo, hi, base, total in spans
-        }
+        node.buckets = bucket_views(flat, spans)
         shells[position] = node
 
     forest = JoinForestIndex.__new__(JoinForestIndex)

@@ -578,3 +578,29 @@ class TestOverflowFallback:
         assert applied.version == service.database.version == version + 1
         _serves_the_star(cursor, 600 ** 7)
         assert service.index(STAR).store == "tuple"
+
+
+class TestStaticOverflowBoundary:
+    """The static flat build falls back to the tuple store exactly when a
+    node's cumulative weight reaches 2⁶²: one star just below the line and
+    one on it, so an estimate of the check would misjudge one of them."""
+
+    @staticmethod
+    def serve(partners):
+        from repro import QueryService
+
+        atoms = ", ".join(f"R{c}(x, y{c})" for c in range(len(partners)))
+        heads = ", ".join(f"y{c}" for c in range(len(partners)))
+        query = f"Q(x, {heads}) :- H(x), {atoms}"
+        service = QueryService(_star(partners), store="flat")
+        return service.cursor(query), service.index(query)
+
+    def test_three_times_two_to_the_sixty_builds_flat(self):
+        cursor, index = self.serve([4] * 30 + [3])
+        assert index.store == "flat"
+        _serves_the_star(cursor, 3 * 2 ** 60)
+
+    def test_two_to_the_sixty_two_falls_back_to_tuple(self):
+        cursor, index = self.serve([4] * 31)
+        assert index.store == "tuple"
+        _serves_the_star(cursor, 4 ** 31)

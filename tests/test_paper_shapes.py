@@ -309,3 +309,50 @@ class TestTheorem43UpdateMechanism:
         assert index.count == (1_000 + 1) * partners
         for name, calls in tally.items():
             assert calls <= reweighted + 2 * depth, (name, calls, depth)
+
+
+class TestTheorem43BuildMechanism:
+    """Theorem 4.3's preprocessing is linear up to the sort. The flat
+    build sorts in numpy on dense per-column ranks, so python keys no
+    row (``row_sort_key`` is never called), keys each distinct value of
+    a non-int column once (``value_sort_key``), and interns in python
+    only the non-int columns (``_ColumnInterner.id_of``) — at every
+    size, the same counts per distinct value and per non-int cell."""
+
+    @pytest.mark.parametrize("facts", [1_000, 2_000, 4_000, 8_000])
+    def test_flat_build_keys_no_row_in_python(self, monkeypatch, facts):
+        from repro import Database, Relation, parse_cq
+        from repro.core import flat_store, index
+
+        keys, labels = facts // 20, 30
+        db = Database([
+            Relation("R", ("a", "b"), [(a, a % keys) for a in range(facts // 2)]),
+            # c is a string column: the one column interned in python.
+            Relation("S", ("b", "c"), [
+                (b, f"c{(b + k) % labels}")
+                for b in range(keys) for k in range(10)
+            ]),
+        ])
+        tally = {"row_sort_key": 0, "value_sort_key": 0, "id_of": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                tally[name] += 1
+                return original(*args)
+            return wrapper
+
+        for module in (flat_store, index):
+            monkeypatch.setattr(module, "row_sort_key",
+                                counted("row_sort_key", module.row_sort_key))
+        monkeypatch.setattr(flat_store, "value_sort_key",
+                            counted("value_sort_key", flat_store.value_sort_key))
+        monkeypatch.setattr(flat_store._ColumnInterner, "id_of",
+                            counted("id_of", flat_store._ColumnInterner.id_of))
+
+        built = CQIndex(parse_cq("Q(a, b, c) :- R(a, b), S(b, c)"), db,
+                        store="flat")
+        assert built.store == "flat"
+        assert built.count == facts // 2 * 10
+        assert tally["row_sort_key"] == 0
+        assert 0 < tally["value_sort_key"] <= labels
+        assert tally["id_of"] == len(db.relation("S"))
